@@ -18,6 +18,7 @@ from .core import (
     Alphabet,
     Antimorphism,
     InputError,
+    InvariantError,
     Word,
     antimorphism_from_file,
     word_from_file,
@@ -94,6 +95,8 @@ def _load_input(args) -> tuple[Word, Antimorphism, dict]:
     n = args.len
     if args.word_file:
         w = word_from_file(args.word_file, tokens=args.tokens)
+        if len(w) == 0:
+            raise InputError(f"word file {args.word_file} holds no letters")
         if len(w) > n:
             w = w.factor(0, n)
         theta = _parse_theta(args.theta, w.alphabet)
@@ -144,10 +147,6 @@ def cmd_analyze(args) -> int:
     w, theta, descriptor = _load_input(args)
     safe = default_safe_length(len(w), args.safe_divisor)
     profile = defect_profile(theta, w)
-    last_inc = None
-    for k in range(1, len(profile.values)):
-        if profile.values[k] > profile.values[k - 1]:
-            last_inc = k
     table = complexity_table(theta, w, min(safe + 1, len(w) - 1),
                              safe_length=safe, source=str(descriptor))
     closed, witness = closed_under_theta(theta, w, min(safe, len(w)))
@@ -176,7 +175,7 @@ def cmd_analyze(args) -> int:
         "defect": {
             "of_prefix": profile.final(),   # defect of the analyzed prefix,
                                             # not of the infinite word
-            "last_increment_index": last_inc,
+            "last_increment_index": lps_scan,
             "gamma": profile.gammas[-1],
             "pal_count": profile.pal_counts[-1],
         },
@@ -374,10 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_ranges(args) -> None:
+    # checked here, not with argparse types: argparse errors exit 2, which
+    # means "inconclusive"
+    for flag, value in (("--len", args.len), ("--safe-divisor", args.safe_divisor),
+                        ("--n", getattr(args, "n", None))):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -385,6 +394,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ class PreconditionError(RuntimeError):
     """A documented precondition of an operation does not hold."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite alphabet; letters are non-empty whitespace-free tokens."""
@@ -236,8 +240,10 @@ def occurrences(w: Word, f: Word) -> list[int]:
 
 
 def occurrences_symbols(hay, needle, hay_b=None, needle_b=None) -> list[int]:
-    if hay_b is None and len(hay) and max(hay, default=0) < 256:
+    # the bytes fast path needs every symbol of both hay and needle below 256
+    if hay_b is None and max(hay, default=0) < 256:
         hay_b = bytes(hay)
+    if needle_b is None and hay_b is not None and max(needle, default=0) < 256:
         needle_b = bytes(needle)
     out: list[int] = []
     if hay_b is not None and needle_b is not None:
@@ -251,6 +257,26 @@ def occurrences_symbols(hay, needle, hay_b=None, needle_b=None) -> list[int]:
         if hay[i:i + m] == needle:
             out.append(i)
     return out
+
+
+def segment_coding(symbols, starts, tail: int) -> tuple[list[tuple], list[int]]:
+    """Cut ``symbols`` between consecutive ``starts`` (ascending).
+
+    Returns the distinct segments ``symbols[a:b + tail]`` over consecutive
+    starts a < b, in first-occurrence order, and for each consecutive pair
+    the index of its segment in that list.
+    """
+    index: dict[tuple, int] = {}
+    segments: list[tuple] = []
+    coding: list[int] = []
+    for a, b in zip(starts, starts[1:]):
+        seg = symbols[a:b + tail]
+        k = index.get(seg)
+        if k is None:
+            k = index[seg] = len(segments)
+            segments.append(seg)
+        coding.append(k)
+    return segments, coding
 
 
 def factor_set(w: Word, n: int) -> set[Word]:
@@ -298,6 +324,10 @@ class Morphism:
 
 # --- config file formats -----------------------------------------------------
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(t, str) for t in x)
+
+
 def antimorphism_from_config(cfg: dict) -> Antimorphism:
     """JSON config: {"letters": [...], "pairs": [["a","b"], ["c","c"], ...]}.
 
@@ -309,6 +339,10 @@ def antimorphism_from_config(cfg: dict) -> Antimorphism:
         pairs = cfg["pairs"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"antimorphism config needs 'letters' and 'pairs': {exc}")
+    if not (_is_str_list(letters) and isinstance(pairs, list)
+            and all(_is_str_list(pr) for pr in pairs)):
+        raise InputError("antimorphism config: 'letters' must be a list of "
+                         "strings and 'pairs' a list of lists of strings")
     alphabet = Alphabet(tuple(letters))
     counted: dict[str, int] = {}
     for pr in pairs:
@@ -322,16 +356,26 @@ def antimorphism_from_config(cfg: dict) -> Antimorphism:
     return Antimorphism.from_pairs(alphabet, [tuple(p) for p in pairs])
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+
+
 def antimorphism_from_file(path: str) -> Antimorphism:
-    with open(path, "r", encoding="utf-8") as fh:
-        return antimorphism_from_config(json.load(fh))
+    try:
+        cfg = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}")
+    return antimorphism_from_config(cfg)
 
 
 def word_from_file(path: str, alphabet: Optional[Alphabet] = None,
                    tokens: bool = False) -> Word:
     """UTF-8 word file: one letter per character, or whitespace tokens."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if not tokens:
         text = "".join(text.split())
     if alphabet is None:

@@ -19,10 +19,14 @@ from .core import (
     Alphabet,
     Antimorphism,
     InputError,
+    InvariantError,
     Morphism,
     Word,
     apply_antimorphism,
     apply_morphism,
+    occurrences,
+    segment_coding,
+    symbols_are_theta_palindrome,
 )
 from .complexity import closed_under_theta, default_safe_length
 from .generators import (
@@ -133,7 +137,7 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int,
 
     chosen = None
     for cand in range(n, min(n + search_budget, len(prefix) // 4) + 1):
-        sp = special_factors(prefix, cand)
+        sp = spec if cand == n else special_factors(prefix, cand)
         if not sp.special:
             break
         head = prefix.factor(0, cand)
@@ -160,16 +164,8 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int,
 
     sym = prefix.symbols
     pair = theta.pairing
-    letter_of: dict[tuple, int] = {}
-    paths: list[tuple] = []
-    v_sym: list[int] = []
-    for a, b_pos in zip(positions, positions[1:]):
-        e = sym[a:b_pos + chosen]
-        if e not in letter_of:
-            letter_of[e] = len(paths)
-            paths.append(e)
-        v_sym.append(letter_of[e])
-
+    paths, v_sym = segment_coding(sym, positions, chosen)
+    letter_of = {e: k for k, e in enumerate(paths)}
     pairing = []
     for e in paths:
         te = tuple(pair[x] for x in reversed(e))
@@ -190,7 +186,7 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int,
     covered = apply_morphism(phi, v)
     expected = sym[positions[0]:positions[-1]]
     if covered.symbols != expected:
-        raise AssertionError("refactorization mismatch; coding bug")
+        raise InvariantError("simple-path refactorization mismatch")
 
     return SimplePathCoding(
         n=chosen, requested_n=n, path_alphabet=b_alpha, theta2=theta2,
@@ -325,33 +321,33 @@ def _pal_prefix_lengths(theta: Antimorphism, prefix: Word) -> list[int]:
     return out
 
 
-def _build_return_coding(theta: Antimorphism, prefix: Word,
-                         p: Word) -> ReturnWordCoding:
-    from .core import occurrences
-
+def _return_coding(theta: Antimorphism, prefix: Word,
+                   p: Word) -> tuple[Optional[ReturnWordCoding], Optional[dict]]:
+    # the coding over the return words of p, or None and why p does not
+    # qualify: fewer than 3 occurrences or a non-palindromic complete return
     sym = prefix.symbols
+    m = len(p)
     occ = occurrences(prefix, p)
-    letter_of: dict[tuple, int] = {}
-    returns: list[tuple] = []
-    v_sym: list[int] = []
-    for a, b in zip(occ, occ[1:]):
-        q = sym[a:b]
-        if q not in letter_of:
-            letter_of[q] = len(returns)
-            returns.append(q)
-        v_sym.append(letter_of[q])
-    b_alpha = Alphabet(tuple(str(i + 1) for i in range(len(returns))))
-    ret_words = tuple(Word(prefix.alphabet, q) for q in returns)
+    if len(occ) < 3:
+        return None, {"p": p.text, "reason": "fewer than 3 occurrences"}
+    complete, v_sym = segment_coding(sym, occ, m)
+    for cr in complete:
+        if not symbols_are_theta_palindrome(theta.pairing, cr):
+            return None, {"p": p.text,
+                          "violating_return": Word(prefix.alphabet, cr).text}
+    b_alpha = Alphabet(tuple(str(i + 1) for i in range(len(complete))))
+    ret_words = tuple(Word(prefix.alphabet, cr[:len(cr) - m]) for cr in complete)
     phi = Morphism(b_alpha, prefix.alphabet, ret_words)
     v = Word(b_alpha, tuple(v_sym))
     covered = apply_morphism(phi, v)
     if covered.symbols != sym[:occ[-1]]:
-        raise AssertionError("return-word refactorization mismatch; coding bug")
+        raise InvariantError("return-word refactorization mismatch")
     eq3_ok = all(verify_eq3(theta, p, q) for q in ret_words)
-    return ReturnWordCoding(
+    coding = ReturnWordCoding(
         p=p, return_alphabet=b_alpha, returns=ret_words, phi=phi, v_prefix=v,
         occurrence_indices=tuple(occ), covered_length=occ[-1],
         tail_length=len(sym) - occ[-1], eq3_ok=eq3_ok)
+    return coding, None
 
 
 def theorem2_decompose(theta: Antimorphism, prefix: Word,
@@ -365,22 +361,9 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word,
     clears the empirical complete-return-word threshold (times the safety
     margin) and whose witnessed complete returns are all Theta-palindromes.
     """
-    from .core import occurrences, symbols_are_theta_palindrome
-
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
     sym = prefix.symbols
-
-    def qualifies(p: Word) -> tuple[bool, Optional[dict]]:
-        occ = occurrences(prefix, p)
-        if len(occ) < 3:
-            return False, {"p": p.text, "reason": "fewer than 3 occurrences"}
-        for a, b in zip(occ, occ[1:]):
-            cr = sym[a:b + len(p)]
-            if not symbols_are_theta_palindrome(theta.pairing, cr):
-                return False, {"p": p.text,
-                               "violating_return": Word(prefix.alphabet, cr).text}
-        return True, None
 
     if p_hint is not None:
         if p_hint.symbols != sym[:len(p_hint)]:
@@ -389,11 +372,11 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word,
         if not symbols_are_theta_palindrome(theta.pairing, p_hint.symbols):
             raise DecomposeError("p_hint is not a Theta-palindrome",
                                  {"p": p_hint.text})
-        ok, info = qualifies(p_hint)
-        if not ok:
+        coding, info = _return_coding(theta, prefix, p_hint)
+        if coding is None:
             raise DecomposeError("hinted p has a non-palindromic complete return "
                                  "or too few occurrences", info)
-        return _build_return_coding(theta, prefix, p_hint)
+        return coding
 
     scan = crw_palindromicity_scan(theta, prefix)
     worst = max((len(v.factor) for v in scan.violations), default=0)
@@ -408,11 +391,9 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word,
         tried += 1
         if tried > max_candidates:
             break
-        p = prefix.factor(0, length)
-        ok, info = qualifies(p)
-        if ok:
-            return _build_return_coding(theta, prefix, p)
-        best_failure = info
+        coding, best_failure = _return_coding(theta, prefix, prefix.factor(0, length))
+        if coding is not None:
+            return coding
     raise DecomposeError(
         "no qualifying Theta-palindromic prefix found",
         {"empirical_threshold": target, "best_candidate": best_failure})

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .core import Alphabet, Antimorphism, InputError, Word
 from .palindromes import PalIndex
-from .rauzy import special_factors
+from .rauzy import special_extensions
 from .complexity import closed_under_theta
 
 
@@ -203,62 +203,25 @@ def arnoux_rauzy_check(prefix: Word, max_len: int, valence: int) -> ArnouxRauzyR
 
     Convention adopted: for each length 1..max_len there is exactly one LS
     and one RS factor, each with full valence, and the factor set is closed
-    under reversal.  (Definition choice is documented in the README.)
+    under reversal.  (Definition choice is documented in the README.)  The
+    first failing length is reported; at one length, closure is checked
+    before the special factors.
     """
-    theta_rev = Antimorphism.reversal(prefix.alphabet)
+    closed, witness = closed_under_theta(
+        Antimorphism.reversal(prefix.alphabet), prefix, max_len)
     for n in range(1, max_len + 1):
-        closed, _witness = closed_under_theta(theta_rev, prefix, n)
-        if not closed:
+        if not closed and n == len(witness):
             return ArnouxRauzyReport(False, valence, max_len, n,
                                      "factor set not closed under reversal")
-        spec = special_factors(prefix, n)
-        if len(spec.left_special) != 1 or len(spec.right_special) != 1:
+        left, right = special_extensions(prefix.symbols, n)
+        if len(left) != 1 or len(right) != 1:
             return ArnouxRauzyReport(
                 False, valence, max_len, n,
                 f"expected one LS and one RS factor, got "
-                f"{len(spec.left_special)} LS / {len(spec.right_special)} RS")
-        ls = next(iter(spec.left_special))
-        rs = next(iter(spec.right_special))
-        sym = prefix.symbols
-        lefts = {sym[i - 1] for i in range(1, len(sym) - n + 1)
-                 if sym[i:i + n] == ls.symbols}
-        rights = {sym[i + n] for i in range(len(sym) - n)
-                  if sym[i:i + n] == rs.symbols}
+                f"{len(left)} LS / {len(right)} RS")
+        (lefts,), (rights,) = left.values(), right.values()
         if len(lefts) != valence or len(rights) != valence:
             return ArnouxRauzyReport(
                 False, valence, max_len, n,
                 f"special factor valence {len(lefts)}/{len(rights)} != {valence}")
     return ArnouxRauzyReport(True, valence, max_len, None, None)
-
-
-# --- generator configs -------------------------------------------------------
-
-def source_from_config(cfg: dict) -> WordSource:
-    """JSON generator config.
-
-    {"kind": "episturmian"|"theta_standard_seed"|"thue_morse"|"periodic",
-     "directive": {"pre": "...", "period": "..."}, "seed": "...",
-     "period": "...", "antimorphism": {...}}
-    """
-    from .core import antimorphism_from_config
-
-    kind = cfg.get("kind")
-    if kind == "periodic":
-        return periodic_source(Word.parse(cfg["period"]))
-    if kind == "thue_morse":
-        return thue_morse_source()
-    if kind == "episturmian":
-        d = cfg.get("directive", {})
-        period = Word.parse(d.get("period", ""))
-        alphabet = period.alphabet
-        return episturmian_source(DirectiveSequence(
-            Word.from_text(alphabet, d.get("pre", "")), period))
-    if kind == "theta_standard_seed":
-        theta = antimorphism_from_config(cfg["antimorphism"])
-        d = cfg.get("directive", {})
-        directive = DirectiveSequence(
-            Word.from_text(theta.alphabet, d.get("pre", "")),
-            Word.from_text(theta.alphabet, d.get("period", "")))
-        seed = Word.from_text(theta.alphabet, cfg.get("seed", ""))
-        return theta_standard_with_seed_source(theta, seed, directive)
-    raise InputError(f"unknown generator kind: {kind!r}")

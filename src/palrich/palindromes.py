@@ -15,6 +15,7 @@ from typing import Optional
 from .core import (
     Antimorphism,
     InputError,
+    InvariantError,
     Word,
     apply_antimorphism,
     symbols_are_theta_palindrome,
@@ -103,12 +104,16 @@ class PalIndex:
     def processed_word(self) -> Word:
         return Word(self.theta.alphabet, tuple(self._sym))
 
+    def palindrome_symbols(self) -> list[tuple]:
+        """Distinct non-empty Theta-palindromic factors seen, as symbol tuples."""
+        sym = self._sym
+        return [tuple(sym[node.first_end + 1 - node.length:node.first_end + 1])
+                for node in self._nodes[2:]]
+
     def palindromes(self) -> set[Word]:
         """All distinct Theta-palindromic factors seen, epsilon included."""
-        out = {Word(self.theta.alphabet, ())}
-        for node in self._nodes[2:]:
-            out.add(self.word_at(node.first_end, node.length))
-        return out
+        ab = self.theta.alphabet
+        return {Word(ab, ())} | {Word(ab, p) for p in self.palindrome_symbols()}
 
     def occurrence_count(self, w: Word) -> int:
         """Occurrences of a Theta-palindromic factor in the processed prefix.
@@ -288,7 +293,8 @@ def defect(theta: Antimorphism, w: Word) -> int:
     idx = PalIndex(theta)
     idx.extend(w.symbols)
     d = idx.defect
-    assert d >= 0, "palindrome count bound violated; index bug"
+    if d < 0:
+        raise InvariantError(f"negative defect {d}: palindrome count bound violated")
     return d
 
 

@@ -15,6 +15,7 @@ from .core import (
     Antimorphism,
     InputError,
     Word,
+    segment_coding,
     symbols_are_theta_palindrome,
 )
 
@@ -50,7 +51,9 @@ class SimplePath:
         return self.word.factor(len(self.word) - self.n, len(self.word))
 
 
-def _extension_maps(sym: tuple, n: int):
+def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
+    """Left- and right-special length-n factors of ``sym`` (as tuples), each
+    mapped to its set of extension letters (at least two)."""
     left: dict[tuple, set[int]] = {}
     right: dict[tuple, set[int]] = {}
     for i in range(len(sym) - n + 1):
@@ -59,18 +62,18 @@ def _extension_maps(sym: tuple, n: int):
             left.setdefault(w, set()).add(sym[i - 1])
         if i + n < len(sym):
             right.setdefault(w, set()).add(sym[i + n])
-    return left, right
+    return ({w: ext for w, ext in left.items() if len(ext) >= 2},
+            {w: ext for w, ext in right.items() if len(ext) >= 2})
 
 
 def special_factors(prefix: Word, n: int) -> SpecialFactors:
     """Exact LS/RS sets of the prefix at length n (extension count >= 2)."""
     if not 0 <= n <= len(prefix):
         raise InputError(f"length {n} out of range")
-    left, right = _extension_maps(prefix.symbols, n)
+    left, right = special_extensions(prefix.symbols, n)
     ab = prefix.alphabet
-    ls = frozenset(Word(ab, w) for w, ext in left.items() if len(ext) >= 2)
-    rs = frozenset(Word(ab, w) for w, ext in right.items() if len(ext) >= 2)
-    return SpecialFactors(n=n, left_special=ls, right_special=rs)
+    return SpecialFactors(n=n, left_special=frozenset(Word(ab, w) for w in left),
+                          right_special=frozenset(Word(ab, w) for w in right))
 
 
 def special_positions(prefix: Word, n: int) -> list[int]:
@@ -87,16 +90,8 @@ def simple_paths(prefix: Word, n: int) -> list[SimplePath]:
     caller expected to treat the input as eventually periodic) when no special
     factor of length n exists.
     """
-    positions = special_positions(prefix, n)
-    sym = prefix.symbols
-    seen: set[tuple] = set()
-    out: list[SimplePath] = []
-    for a, b in zip(positions, positions[1:]):
-        w = sym[a:b + n]
-        if w not in seen:
-            seen.add(w)
-            out.append(SimplePath(word=Word(prefix.alphabet, w), n=n))
-    return out
+    paths, _ = segment_coding(prefix.symbols, special_positions(prefix, n), n)
+    return [SimplePath(word=Word(prefix.alphabet, w), n=n) for w in paths]
 
 
 def _canon_pair(x: tuple, y: tuple) -> tuple[tuple, tuple]:
@@ -164,12 +159,13 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
     def timage(sym: tuple) -> tuple:
         return tuple(pair[x] for x in reversed(sym))
 
-    spec = special_factors(prefix, n)
-    vertices = frozenset(_canon_pair(w.symbols, timage(w.symbols)) for w in spec.special)
+    sym = prefix.symbols
+    positions = special_positions(prefix, n)
+    specials = {sym[i:i + n] for i in positions}
+    vertices = frozenset(_canon_pair(w, timage(w)) for w in specials)
     edges: list[GraphEdge] = []
     seen: set[tuple] = set()
-    for path in simple_paths(prefix, n):
-        e = path.word.symbols
+    for e in segment_coding(sym, positions, n)[0]:
         te = timage(e)
         key = _canon_pair(e, te)
         if key in seen:

@@ -15,6 +15,8 @@ from .core import (
     InputError,
     Word,
     occurrences,
+    occurrences_symbols,
+    segment_coding,
     symbols_are_theta_palindrome,
 )
 from .palindromes import PalIndex
@@ -38,19 +40,13 @@ def return_structure(prefix: Word, w: Word) -> ReturnStructure:
     if len(occ) < 2:
         raise InputError(
             f"factor occurs {len(occ)} time(s); need at least 2 for return words")
-    seen: set[tuple] = set()
-    crs: list[Word] = []
-    rets: list[Word] = []
-    sym = prefix.symbols
     m = len(w)
-    for a, b in zip(occ, occ[1:]):
-        cr = sym[a:b + m]
-        if cr not in seen:
-            seen.add(cr)
-            crs.append(Word(prefix.alphabet, cr))
-            rets.append(Word(prefix.alphabet, sym[a:b]))
-    return ReturnStructure(factor=w, occurrence_indices=tuple(occ),
-                           complete_returns=tuple(crs), returns=tuple(rets))
+    crs, _ = segment_coding(prefix.symbols, occ, m)
+    ab = prefix.alphabet
+    return ReturnStructure(
+        factor=w, occurrence_indices=tuple(occ),
+        complete_returns=tuple(Word(ab, cr) for cr in crs),
+        returns=tuple(Word(ab, cr[:len(cr) - m]) for cr in crs))
 
 
 def occurrences_alternate(theta: Antimorphism, prefix: Word,
@@ -150,23 +146,27 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word,
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
     idx = PalIndex(theta)
-    idx.extend(prefix.symbols)
+    sym = prefix.symbols
+    idx.extend(sym)
     pair = theta.pairing
     violations: list[CrwViolation] = []
     checked = 0
     worst = 0
-    for w in sorted(idx.palindromes(), key=lambda x: (len(x), x.symbols)):
-        if len(w) < max(1, min_len):
+    for p in sorted(idx.palindrome_symbols(), key=lambda x: (len(x), x)):
+        if len(p) < min_len:
             continue
-        occ = occurrences(prefix, w)
+        occ = occurrences_symbols(sym, p, prefix._bytes)
         if len(occ) < 2:
             continue
         checked += 1
-        rs = return_structure(prefix, w)
-        for cr in rs.complete_returns:
-            if not symbols_are_theta_palindrome(pair, cr.symbols):
-                violations.append(CrwViolation(factor=w, complete_return=cr))
-                worst = max(worst, len(w))
+        bad = [cr for cr in segment_coding(sym, occ, len(p))[0]
+               if not symbols_are_theta_palindrome(pair, cr)]
+        if bad:
+            ab = prefix.alphabet
+            factor = Word(ab, p)
+            violations.extend(CrwViolation(factor=factor, complete_return=Word(ab, cr))
+                              for cr in bad)
+            worst = max(worst, len(p))
     return CrwReport(min_len=min_len, checked_factors=checked,
                      violations=tuple(violations),
                      empirical_threshold=max(min_len, worst + 1))
@@ -188,29 +188,19 @@ def unioccurrent_lps_scan(theta: Antimorphism, prefix: Word,
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
     sym = prefix.symbols
-    last: Optional[int] = None
     if not full:
-        idx = PalIndex(theta)
-        prev = 0
-        for k, s in enumerate(sym, start=1):
-            idx.append(s)
-            d = idx.defect
-            if d > prev:
-                last = k
-            prev = d
-        return last
+        return _last_defect_increment(theta, sym)
     if len(sym) > FULL_SCAN_LIMIT:
         raise InputError(
             f"full scan is quadratic; limited to |prefix| <= {FULL_SCAN_LIMIT}")
-    for start in range(len(sym)):
-        idx = PalIndex(theta)
-        prev = 0
-        for off, s in enumerate(sym[start:], start=1):
-            idx.append(s)
-            d = idx.defect
-            if d > prev:
-                end = start + off
-                if last is None or end > last:
-                    last = end
-            prev = d
-    return last
+    ends = [start + k for start in range(len(sym))
+            if (k := _last_defect_increment(theta, sym[start:])) is not None]
+    return max(ends, default=None)
+
+
+def _last_defect_increment(theta: Antimorphism, sym) -> Optional[int]:
+    # largest k with d_k - d_{k-1} = 1 over the prefixes of sym, or None
+    idx = PalIndex(theta)
+    idx.extend(sym)
+    d = idx.defect_values
+    return max((k for k in range(1, len(d)) if d[k] > d[k - 1]), default=None)

@@ -65,3 +65,17 @@ def random_involution(rng: random.Random, size: int) -> Antimorphism:
 def random_word(rng: random.Random, theta: Antimorphism, length: int) -> Word:
     k = len(theta.alphabet)
     return Word(theta.alphabet, tuple(rng.randrange(k) for _ in range(length)))
+
+
+def inline_segments(symbols, starts, tail: int):
+    """The per-caller loop that ``core.segment_coding`` replaced: the oracle."""
+    letter_of: dict = {}
+    segments: list = []
+    coding: list = []
+    for a, b in zip(starts, starts[1:]):
+        seg = symbols[a:b + tail]
+        if seg not in letter_of:
+            letter_of[seg] = len(segments)
+            segments.append(seg)
+        coding.append(letter_of[seg])
+    return segments, coding

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
+import palrich.decompose
 from palrich.cli import main
+from palrich.core import Alphabet, Antimorphism
+from conftest import random_word
 
 
 def run(capsys, *argv):
@@ -154,3 +158,76 @@ def test_out_flag_writes_report(capsys, tmp_path):
     assert code == 0 and stdout == ""
     rep = json.loads(out.read_text())
     assert rep["defect"]["of_prefix"] == 0
+
+
+def run_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return code, err
+
+
+@pytest.mark.parametrize("make_input, message", [
+    (lambda d: ["--gen", "fibonacci", "--theta", str(d / "bad.json")],
+     "not valid JSON"),
+    (lambda d: ["--word-file", str(d)], "Is a directory"),
+    (lambda d: ["--word-file", str(d / "latin1.txt")], "can't decode"),
+    (lambda d: ["--word-file", str(d / "empty.txt")], "holds no letters"),
+    (lambda d: ["--gen", "fibonacci", "--safe-divisor", "0"],
+     "--safe-divisor must be at least 1"),
+    (lambda d: ["--gen", "fibonacci", "--len", "0"], "--len must be at least 1"),
+    (lambda d: ["--gen", "fibonacci", "--len", "-5"], "--len must be at least 1"),
+], ids=["theta-json", "word-file-dir", "word-file-not-utf8", "word-file-empty",
+        "safe-divisor-0", "len-0", "len-negative"])
+def test_analyze_input_errors_exit_1(capsys, tmp_path, make_input, message):
+    (tmp_path / "bad.json").write_text('{"letters": ["a", "b"],')
+    (tmp_path / "latin1.txt").write_bytes("abé".encode("latin-1"))
+    (tmp_path / "empty.txt").write_text(" \n")
+    code, err = run_error(capsys, "analyze", "--len", "100",
+                          *make_input(tmp_path))
+    assert code == 1 and message in err
+
+
+def test_rauzy_n_zero_exit_1(capsys):
+    code, err = run_error(capsys, "rauzy", "--gen", "fibonacci",
+                          "--len", "200", "--n", "0")
+    assert code == 1 and "--n must be at least 1" in err
+
+
+def _corrupt_morphism(monkeypatch):
+    original = palrich.decompose.apply_morphism
+
+    def corrupted(phi, word):
+        image = original(phi, word)
+        return type(image)(image.alphabet, image.symbols[1:])
+    monkeypatch.setattr(palrich.decompose, "apply_morphism", corrupted)
+
+
+@pytest.mark.parametrize("method", ["path", "return"])
+def test_refactorization_mismatch_exit_3(capsys, monkeypatch, method):
+    _corrupt_morphism(monkeypatch)
+    code, err = run_error(capsys, "decompose", "--gen", "fibonacci",
+                          "--len", "400", "--method", method)
+    assert code == 3
+    assert err.startswith("error: internal invariant violated: ")
+    assert "refactorization mismatch" in err
+
+
+def test_last_increment_index_is_lps_scan_result(capsys, tmp_path):
+    # last_increment_index must still be the last k with d_k > d_{k-1},
+    # read here from the defect profile CSV
+    rng = random.Random(23)
+    profile = tmp_path / "profile.csv"
+    for _ in range(12):
+        ab = Alphabet(tuple("abc"[:rng.randint(1, 3)]))
+        word = random_word(rng, Antimorphism.reversal(ab), rng.randint(1, 40))
+        path = tmp_path / "w.txt"
+        path.write_text(word.text)
+        code, rep, _ = run_json(capsys, "analyze", "--word-file", str(path),
+                                "--len", "100", "--profile-csv", str(profile))
+        assert code == 0
+        d = [int(line.split(",")[1])
+             for line in profile.read_text().splitlines()[1:]]
+        expected = max((k for k in range(1, len(d)) if d[k] > d[k - 1]),
+                       default=None)
+        assert rep["defect"]["last_increment_index"] == expected
+        assert rep["returns"]["unioccurrent_lps_last_violation"] == expected

@@ -1,4 +1,7 @@
+import ast
 import itertools
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,8 +19,10 @@ from palrich.core import (
     gamma,
     is_theta_palindrome,
     occurrences,
+    segment_coding,
 )
-from conftest import brute_occurrences, random_involution, random_word, w
+from conftest import brute_occurrences, inline_segments, random_involution, \
+    random_word, w
 
 
 def test_alphabet_validation():
@@ -105,6 +110,10 @@ def test_antimorphism_config_roundtrip():
         antimorphism_from_config({"letters": ["a", "b"], "pairs": [["a", "b"], ["a", "a"]]})
     with pytest.raises(InputError):
         antimorphism_from_config({"letters": ["a", "b"], "pairs": [["a", "a"]]})
+    for bad in ([], {"letters": 5, "pairs": []}, {"letters": ["a"], "pairs": "aa"},
+                {"letters": ["a"], "pairs": [[1, 1]]}):
+        with pytest.raises(InputError):
+            antimorphism_from_config(bad)
 
 
 @given(st.data())
@@ -151,3 +160,40 @@ def test_occurrences_exhaustive_small(ab):
                 for fbits in itertools.product((0, 1), repeat=m):
                     f = Word(ab, fbits)
                     assert occurrences(word, f) == brute_occurrences(word, f)
+
+
+def test_occurrences_needle_beyond_byte_range():
+    # a haystack over letters < 256 must not pick the bytes path for a
+    # needle holding a letter >= 256
+    big = Alphabet(tuple(f"x{i}" for i in range(300)))
+    hay = Word(big, (1, 2, 3, 1, 2))
+    assert occurrences(hay, Word(big, (299,))) == []
+    assert occurrences(hay, Word(big, (1, 2))) == [0, 3]
+    assert occurrences(Word(big, (299, 1, 299)), Word(big, (299,))) == [0, 2]
+
+
+def test_segment_coding_matches_inline_loop():
+    rng = random.Random(17)
+    for _ in range(300):
+        theta = random_involution(rng, rng.randint(1, 3))
+        word = random_word(rng, theta, rng.randint(0, 60))
+        sym = word.symbols
+        if rng.random() < 0.5 and sym:
+            starts = occurrences(word, word.factor(0, rng.randint(1, min(3, len(sym)))))
+        else:
+            starts = sorted(rng.sample(range(len(sym) + 1),
+                                       rng.randint(0, len(sym) + 1)))
+        tail = rng.randint(0, 3)
+        assert segment_coding(sym, starts, tail) == inline_segments(sym, starts, tail)
+
+
+def test_library_has_no_assert():
+    # invariants raise InvariantError; assert vanishes under python -O
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "palrich"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

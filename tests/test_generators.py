@@ -8,7 +8,6 @@ from palrich.generators import (
     episturmian_source,
     fibonacci_source,
     periodic_source,
-    source_from_config,
     theta_standard_with_seed_source,
     thue_morse_source,
     tribonacci_source,
@@ -122,19 +121,16 @@ def test_generated_words_have_zero_defect(ab):
     assert defect(swap, src.prefix(5000)) == 2
 
 
-def test_source_from_config():
-    cfg = {"kind": "periodic", "period": "aba"}
-    assert source_from_config(cfg).prefix(5).text == "abaab"
-    cfg = {"kind": "thue_morse"}
-    assert source_from_config(cfg).prefix(4).text == "abba"
-    cfg = {"kind": "episturmian", "directive": {"pre": "", "period": "ab"}}
-    assert source_from_config(cfg).prefix(6).text == "abaaba"
-    cfg = {
-        "kind": "theta_standard_seed",
-        "antimorphism": {"letters": ["a", "b"], "pairs": [["a", "b"]]},
-        "seed": "",
-        "directive": {"pre": "", "period": "ab"},
-    }
-    assert source_from_config(cfg).prefix(6).text == "abbaab"
-    with pytest.raises(InputError):
-        source_from_config({"kind": "nope"})
+@pytest.mark.parametrize("text, valence, first_failure, reason", [
+    # length 1 passes; at length 2 "ab" lacks its reversal while the special
+    # factors pass: closure fails first
+    ("aaabbb", 2, 2, "factor set not closed under reversal"),
+    # at length 2 closure still holds but there is no LS factor; closure
+    # would only fail at length 3 ("aab")
+    ("aaba", 2, 2, "expected one LS and one RS factor, got 0 LS / 0 RS"),
+    # the LS and RS factor "a" has two extensions each, not three
+    ("abaababaab", 3, 1, "special factor valence 2/2 != 3"),
+])
+def test_arnoux_rauzy_first_failure(ab, text, valence, first_failure, reason):
+    rep = arnoux_rauzy_check(w(ab, text), 6, valence)
+    assert (rep.ok, rep.first_failure, rep.reason) == (False, first_failure, reason)

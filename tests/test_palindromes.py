@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich.core import Alphabet, Antimorphism, Word
+from palrich.core import Alphabet, Antimorphism, InvariantError, Word
 from palrich.generators import fibonacci_source, thue_morse_source
 from palrich.palindromes import (
     PalIndex,
@@ -129,6 +129,12 @@ def test_defect_examples(ab, tr, swap):
     assert defect(swap, w(ab, "ab")) == 0  # 2 + 1 - 1 - 2
     fib = fibonacci_source().prefix(2000)
     assert defect(tr, fib) == 0
+
+
+def test_negative_defect_raises(ab, tr, monkeypatch):
+    monkeypatch.setattr(PalIndex, "defect", property(lambda self: -1))
+    with pytest.raises(InvariantError):
+        defect(tr, w(ab, "ab"))
 
 
 def test_defect_profile(ab, tr):
