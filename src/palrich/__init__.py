@@ -22,10 +22,8 @@ from .core import (
 from .palindromes import (
     DefectProfile,
     PalIndex,
-    count_theta_palindromes_expand,
     defect,
     defect_profile,
-    distinct_theta_palindromes_naive,
     is_rich_finite,
     longest_theta_pal_suffix,
     theta_pal_closure,

@@ -48,7 +48,7 @@ from .generators import (
     thue_morse_source,
     tribonacci_source,
 )
-from .palindromes import defect_profile
+from .palindromes import defect, defect_profile
 from .rauzy import build_graph, check_proposition1
 from .returns import crw_palindromicity_scan, unioccurrent_lps_scan
 
@@ -134,13 +134,23 @@ def _load_input(args) -> tuple[Word, Antimorphism, dict]:
     return w, theta, src.describe()
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
+def _output(args, text: str) -> None:
+    if args.out:
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -192,11 +202,9 @@ def cmd_analyze(args) -> int:
         },
     }
     if args.profile_csv:
-        with open(args.profile_csv, "w", encoding="utf-8") as fh:
-            fh.write(profile.to_csv())
+        _write_text(args.profile_csv, profile.to_csv())
     if args.table_csv:
-        with open(args.table_csv, "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv())
+        _write_text(args.table_csv, table.to_csv())
     _emit(args, report)
     return 0
 
@@ -211,8 +219,7 @@ def cmd_rauzy(args) -> int:
     g = build_graph(theta, w, args.n)
     res = check_proposition1(g, theta)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(g.to_dot())
+        _write_text(args.dot, g.to_dot())
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -280,12 +287,10 @@ def cmd_decompose(args) -> int:
                 "ok": ok,
             }
         elif args.method == "return":
-            from .palindromes import defect as _defect
-
             coding = theorem2_decompose(theta, w)
             eq4 = _eq4_samples(coding, theta, rng)
-            v_defect = _defect(Antimorphism.reversal(coding.v_prefix.alphabet),
-                               coding.v_prefix)
+            v_defect = defect(Antimorphism.reversal(coding.v_prefix.alphabet),
+                              coding.v_prefix)
             ok = coding.eq3_ok and eq4["failures"] == 0 and v_defect == 0
             report = {
                 "schema_version": SCHEMA_VERSION,
@@ -311,12 +316,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_generate(args) -> int:
     w, _theta, descriptor = _load_input(args)
-    text = w.text + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _output(args, w.text + "\n")
     return 0
 
 
@@ -389,9 +389,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         _check_ranges(args)
         return args.func(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

@@ -7,6 +7,7 @@ Theta-images, and the closure/richness statements concern infinite languages.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,8 +17,8 @@ from .core import (
     PreconditionError,
     Word,
     factor_tuples,
-    symbols_are_theta_palindrome,
 )
+from .palindromes import pal_index
 
 DEFAULT_SAFE_DIVISOR = 64
 
@@ -73,19 +74,14 @@ def complexity_table(theta: Antimorphism, prefix: Word, max_length: int,
             f"max_length {max_length} too large for prefix of length {len(prefix)}")
     if safe_length is None:
         safe_length = default_safe_length(len(prefix))
-    pair = theta.pairing
-    c = []
-    p = []
-    for n in range(max_length + 2):
-        if n > len(prefix):
-            c.append(0)
-            p.append(0)
-            continue
-        facs = factor_tuples(prefix.symbols, n)
-        c.append(len(facs))
-        p.append(sum(1 for f in facs if symbols_are_theta_palindrome(pair, f)))
+    # P(n) is the number of palindrome nodes of length n, plus epsilon
+    p = Counter(length for _, length
+                in pal_index(theta, prefix.symbols).palindrome_spans())
+    p[0] = 1
+    rows = range(max_length + 2)
     return ComplexityTable(source=source, max_length=max_length,
-                           c=tuple(c[:max_length + 2]), p=tuple(p[:max_length + 2]),
+                           c=tuple(len(factor_tuples(prefix.symbols, n)) for n in rows),
+                           p=tuple(p[n] for n in rows),
                            safe_length=safe_length)
 
 

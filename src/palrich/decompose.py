@@ -35,12 +35,14 @@ from .generators import (
     arnoux_rauzy_check,
     theta_standard_with_seed_source,
 )
-from .palindromes import PalIndex, defect
-from .rauzy import special_factors, special_positions
+from .palindromes import defect, pal_index
+from .rauzy import special_extensions, special_factors, special_positions
 from .returns import crw_palindromicity_scan, mirror_bounded_palindromicity, \
     occurrences_alternate
 
 DEFAULT_SAFETY_MARGIN = 2
+SEARCH_BUDGET = 64      # coding lengths tried past n by theorem1_decompose
+MAX_CANDIDATES = 16     # palindromic prefixes tried by theorem2_decompose
 
 
 class DecomposeError(RuntimeError):
@@ -117,8 +119,7 @@ def _periodic_coding(theta: Antimorphism, prefix: Word, n: int) -> SimplePathCod
         flags={"periodic": True, "period_length": p})
 
 
-def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int,
-                       search_budget: int = 64) -> SimplePathCoding:
+def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathCoding:
     """Recode the prefix over the alphabet of its n-simple paths.
 
     The coding length is bumped to the smallest n' >= n whose length-n'
@@ -135,19 +136,19 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int,
     if not spec.special:
         return _periodic_coding(theta, prefix, n)
 
-    chosen = None
-    for cand in range(n, min(n + search_budget, len(prefix) // 4) + 1):
+    chosen_spec = None
+    for cand in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
         sp = spec if cand == n else special_factors(prefix, cand)
         if not sp.special:
             break
-        head = prefix.factor(0, cand)
-        if head in sp.special:
-            chosen = cand
+        if prefix.factor(0, cand) in sp.special:
+            chosen_spec = sp
             break
     flags: dict = {}
-    if chosen is None:
-        chosen = n
+    if chosen_spec is None:
+        chosen_spec = spec
         flags["aligned_at_first_special"] = True
+    chosen = chosen_spec.n
 
     closed, witness = closed_under_theta(theta, prefix, chosen)
     if not closed:
@@ -155,7 +156,7 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int,
             "factor set is not closed under Theta at the coding length",
             {"n": chosen, "witness": witness.text if witness else None})
 
-    positions = special_positions(prefix, chosen)
+    positions = special_positions(prefix, chosen_spec)
     if len(positions) < 2:
         raise DecomposeError("fewer than two special-factor occurrences witnessed",
                              {"n": chosen})
@@ -310,15 +311,22 @@ def verify_eq4(theta: Antimorphism, phi: Morphism, p: Word, w: Word) -> bool:
 
 
 def _pal_prefix_lengths(theta: Antimorphism, prefix: Word) -> list[int]:
-    # lengths L >= 1 such that prefix[:L] is a Theta-palindrome; via PalIndex:
-    # the prefix of length L is a palindrome iff its lps is the whole prefix
-    idx = PalIndex(theta)
-    out = []
-    for k, s in enumerate(prefix.symbols, start=1):
-        idx.append(s)
-        if idx.lps_length == k:
-            out.append(k)
-    return out
+    # lengths L >= 1, ascending, such that prefix[:L] is a Theta-palindrome:
+    # the palindromes whose first occurrence starts at 0
+    return [length for start, length
+            in pal_index(theta, prefix.symbols).palindrome_spans() if start == 0]
+
+
+def _candidate_prefix_lengths(theta: Antimorphism,
+                              prefix: Word) -> tuple[int, list[int]]:
+    # the empirical threshold (longest factor with a non-palindromic complete
+    # return, times the safety margin) and the Theta-palindromic prefix
+    # lengths from it up to a quarter of the prefix, ascending
+    scan = crw_palindromicity_scan(theta, prefix)
+    worst = max((len(v.factor) for v in scan.violations), default=0)
+    target = max(1, DEFAULT_SAFETY_MARGIN * worst)
+    return target, [length for length in _pal_prefix_lengths(theta, prefix)
+                    if target <= length <= len(prefix) // 4]
 
 
 def _return_coding(theta: Antimorphism, prefix: Word,
@@ -351,9 +359,7 @@ def _return_coding(theta: Antimorphism, prefix: Word,
 
 
 def theorem2_decompose(theta: Antimorphism, prefix: Word,
-                       p_hint: Optional[Word] = None,
-                       margin: int = DEFAULT_SAFETY_MARGIN,
-                       max_candidates: int = 16) -> ReturnWordCoding:
+                       p_hint: Optional[Word] = None) -> ReturnWordCoding:
     """Derived-word recoding over the return words of a Theta-palindromic
     prefix p.
 
@@ -378,19 +384,9 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word,
                                  "or too few occurrences", info)
         return coding
 
-    scan = crw_palindromicity_scan(theta, prefix)
-    worst = max((len(v.factor) for v in scan.violations), default=0)
-    target = max(1, margin * worst)
+    target, lengths = _candidate_prefix_lengths(theta, prefix)
     best_failure: Optional[dict] = None
-    tried = 0
-    for length in _pal_prefix_lengths(theta, prefix):
-        if length < target:
-            continue
-        if length > len(prefix) // 4:
-            break
-        tried += 1
-        if tried > max_candidates:
-            break
+    for length in lengths[:MAX_CANDIDATES]:
         coding, best_failure = _return_coding(theta, prefix, prefix.factor(0, length))
         if coding is not None:
             return coding
@@ -402,8 +398,7 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word,
 # --- full pipeline for closure-generated words -------------------------------
 
 def theorem3_pipeline(theta: Antimorphism, seed: Word, d: DirectiveSequence,
-                      scale: int,
-                      margin: int = DEFAULT_SAFETY_MARGIN) -> dict:
+                      scale: int) -> dict:
     """Generate a word by iterated Theta-palindromic closure, recode it over
     the return words of a bispecial Theta-palindromic prefix, and check the
     announced properties of the result.
@@ -415,25 +410,20 @@ def theorem3_pipeline(theta: Antimorphism, seed: Word, d: DirectiveSequence,
     src = theta_standard_with_seed_source(theta, seed, d)
     u = src.prefix(scale)
 
-    scan = crw_palindromicity_scan(theta, u)
-    worst = max((len(v.factor) for v in scan.violations), default=0)
-    target = max(1, margin * worst)
-
+    target, lengths = _candidate_prefix_lengths(theta, u)
+    sym = u.symbols
     chosen: Optional[Word] = None
-    for length in _pal_prefix_lengths(theta, u):
-        if length < target or length > len(u) // 4:
-            continue
-        p = u.factor(0, length)
-        spec = special_factors(u, length)
-        if p in spec.bispecial:
-            chosen = p
+    for length in lengths:
+        left, right = special_extensions(sym, length)
+        if sym[:length] in left and sym[:length] in right:
+            chosen = u.factor(0, length)
             break
     if chosen is None:
         raise DecomposeError(
             "no bispecial Theta-palindromic prefix above the empirical threshold",
             {"empirical_threshold": target, "scale": scale})
 
-    coding = theorem2_decompose(theta, u, p_hint=chosen, margin=margin)
+    coding = theorem2_decompose(theta, u, p_hint=chosen)
     m = coding.m
     size_ok = m <= len(theta.alphabet)
     last_letters = [q.symbols[-1] for q in coding.returns]

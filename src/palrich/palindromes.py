@@ -1,15 +1,15 @@
 """Distinct Theta-palindromic factors, defect, closure and suffix queries.
 
-Two routes are provided on purpose: a quadratic oracle that materializes the
-factor set directly from the definition, and ``PalIndex``, an incremental
-generalized palindromic tree.  A Theta-palindrome ending with letter ``a``
-must begin with ``Theta(a)``, so the classical suffix-link walk looks for the
-preceding letter ``Theta(a)`` instead of ``a``, and a length-1 node exists
-only for letters fixed by Theta.
+``PalIndex`` is an incremental generalized palindromic tree.  A
+Theta-palindrome ending with letter ``a`` must begin with ``Theta(a)``, so
+the classical suffix-link walk looks for the preceding letter ``Theta(a)``
+instead of ``a``, and a length-1 node exists only for letters fixed by Theta.
+Every palindrome fact about a word is read from one index, ``pal_index``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -17,8 +17,6 @@ from .core import (
     InputError,
     InvariantError,
     Word,
-    apply_antimorphism,
-    symbols_are_theta_palindrome,
 )
 
 
@@ -101,37 +99,22 @@ class PalIndex:
     def lps_word(self) -> Word:
         return self.word_at(len(self._sym) - 1, self._last.length)
 
-    def processed_word(self) -> Word:
-        return Word(self.theta.alphabet, tuple(self._sym))
+    def palindrome_spans(self) -> list[tuple[int, int]]:
+        """(start, length) of the first occurrence of each distinct non-empty
+        Theta-palindromic factor seen, in order of that occurrence's end."""
+        return [(node.first_end + 1 - node.length, node.length)
+                for node in self._nodes[2:]]
 
     def palindrome_symbols(self) -> list[tuple]:
         """Distinct non-empty Theta-palindromic factors seen, as symbol tuples."""
         sym = self._sym
-        return [tuple(sym[node.first_end + 1 - node.length:node.first_end + 1])
-                for node in self._nodes[2:]]
+        return [tuple(sym[start:start + length])
+                for start, length in self.palindrome_spans()]
 
     def palindromes(self) -> set[Word]:
         """All distinct Theta-palindromic factors seen, epsilon included."""
         ab = self.theta.alphabet
         return {Word(ab, ())} | {Word(ab, p) for p in self.palindrome_symbols()}
-
-    def occurrence_count(self, w: Word) -> int:
-        """Occurrences of a Theta-palindromic factor in the processed prefix.
-
-        Computed on demand by summing link-tree subtree ends counts.
-        """
-        target = None
-        for node in self._nodes[2:]:
-            if node.length == len(w) and \
-                    tuple(self._sym[node.first_end + 1 - node.length:node.first_end + 1]) == w.symbols:
-                target = node
-                break
-        if target is None:
-            return 0
-        totals = {id(n): n.ends for n in self._nodes}
-        for node in reversed(self._nodes[2:]):
-            totals[id(node.link)] += totals[id(node)]
-        return totals[id(target)]
 
     # -- construction ---------------------------------------------------------
 
@@ -211,109 +194,45 @@ class DefectProfile:
         return "\n".join(lines) + "\n"
 
 
-# --- oracle ------------------------------------------------------------------
-
-def distinct_theta_palindromes_naive(theta: Antimorphism, w: Word) -> set[Word]:
-    """Exact set of Theta-palindromic factors, epsilon included.
-
-    Dynamic programming over factor spans; quadratic, intended as the oracle
-    for small words.
-    """
-    if theta.alphabet != w.alphabet:
-        raise InputError("alphabet mismatch")
-    s = w.symbols
-    pair = theta.pairing
-    n = len(s)
-    out: set[Word] = {Word(w.alphabet, ())}
-    # prevK[i] == factor of length K starting at i is a Theta-palindrome
-    prev2 = bytearray(b"\x01" * (n + 1))  # length 0 spans: all palindromic
-    prev1 = bytearray(n)
-    for i in range(n):
-        if s[i] == pair[s[i]]:
-            prev1[i] = 1
-            out.add(Word(w.alphabet, s[i:i + 1]))
-    for length in range(2, n + 1):
-        cur = bytearray(n - length + 1)
-        inner = prev2 if length % 2 == 0 else prev1
-        for i in range(n - length + 1):
-            j = i + length - 1
-            if s[i] == pair[s[j]] and inner[i + 1]:
-                cur[i] = 1
-                out.add(Word(w.alphabet, s[i:j + 1]))
-        if length % 2 == 0:
-            prev2 = cur
-        else:
-            prev1 = cur
-    return out
-
-
-_HASH_MOD = (1 << 61) - 1
-_HASH_BASE = 1_000_003
-
-
-def count_theta_palindromes_expand(theta: Antimorphism, w: Word) -> int:
-    """Count distinct Theta-palindromic factors by center expansion.
-
-    Independent of PalIndex: every palindromic occurrence is enumerated by
-    expanding around its center, and distinct factors are deduplicated with a
-    rolling hash.  O(n + occurrences), which is O(n^2) in the worst case.
-    """
-    if theta.alphabet != w.alphabet:
-        raise InputError("alphabet mismatch")
-    s = w.symbols
-    pair = theta.pairing
-    n = len(s)
-    h = [0] * (n + 1)
-    pw = [1] * (n + 1)
-    for i, x in enumerate(s):
-        h[i + 1] = (h[i] * _HASH_BASE + x + 1) % _HASH_MOD
-        pw[i + 1] = (pw[i] * _HASH_BASE) % _HASH_MOD
-    seen: set[tuple[int, int]] = set()
-
-    def expand(i: int, j: int) -> None:
-        while True:
-            seen.add((j - i + 1, (h[j + 1] - h[i] * pw[j + 1 - i]) % _HASH_MOD))
-            if i == 0 or j == n - 1 or s[i - 1] != pair[s[j + 1]]:
-                return
-            i -= 1
-            j += 1
-
-    for c in range(n):
-        if s[c] == pair[s[c]]:
-            expand(c, c)
-        if c + 1 < n and s[c] == pair[s[c + 1]]:
-            expand(c, c + 1)
-    return len(seen) + 1  # epsilon
-
-
 # --- derived operations ------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def pal_index(theta: Antimorphism, symbols: tuple) -> PalIndex:
+    """The PalIndex of ``symbols``, shared by every analysis of one word.
+
+    Callers only read it.  One entry suffices: every multi-analysis caller
+    asks about one word several times in a row.
+    """
+    idx = PalIndex(theta)
+    idx.extend(symbols)
+    return idx
+
 
 def defect(theta: Antimorphism, w: Word) -> int:
     """Theta-palindromic defect |w| + 1 - gamma - #Pal, via PalIndex."""
-    idx = PalIndex(theta)
-    idx.extend(w.symbols)
-    d = idx.defect
+    d = pal_index(theta, w.symbols).defect
     if d < 0:
         raise InvariantError(f"negative defect {d}: palindrome count bound violated")
     return d
 
 
 def defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
-    idx = PalIndex(theta)
+    values = pal_index(theta, w.symbols).defect_values
+    pair = theta.pairing
+    classes: set[int] = set()
     gammas = [0]
-    pals = [1]
     for s in w.symbols:
-        idx.append(s)
-        gammas.append(idx.gamma)
-        pals.append(idx.pal_count)
-    return DefectProfile(word=w, values=tuple(idx.defect_values),
-                         gammas=tuple(gammas), pal_counts=tuple(pals))
+        if pair[s] != s:
+            classes.add(min(s, pair[s]))
+        gammas.append(len(classes))
+    # d_k = k + 1 - gamma_k - #Pal_k, solved for #Pal_k
+    pals = (k + 1 - g - d for k, (g, d) in enumerate(zip(gammas, values)))
+    return DefectProfile(word=w, values=tuple(values), gammas=tuple(gammas),
+                         pal_counts=tuple(pals))
 
 
 def longest_theta_pal_suffix(theta: Antimorphism, w: Word) -> Word:
-    idx = PalIndex(theta)
-    idx.extend(w.symbols)
-    return idx.lps_word()
+    return pal_index(theta, w.symbols).lps_word()
 
 
 def theta_pal_closure(theta: Antimorphism, w: Word) -> Word:
@@ -322,9 +241,7 @@ def theta_pal_closure(theta: Antimorphism, w: Word) -> Word:
     With w = p s, s the longest Theta-palindromic suffix, the closure is
     w Theta(p).
     """
-    idx = PalIndex(theta)
-    idx.extend(w.symbols)
-    p_len = len(w) - idx.lps_length
+    p_len = len(w) - pal_index(theta, w.symbols).lps_length
     pair = theta.pairing
     tail = tuple(pair[x] for x in reversed(w.symbols[:p_len]))
     return Word(w.alphabet, w.symbols + tail)

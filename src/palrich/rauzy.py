@@ -76,11 +76,12 @@ def special_factors(prefix: Word, n: int) -> SpecialFactors:
                           right_special=frozenset(Word(ab, w) for w in right))
 
 
-def special_positions(prefix: Word, n: int) -> list[int]:
-    """Ascending occurrence indices of LS-or-RS length-n factors."""
-    spec = {w.symbols for w in special_factors(prefix, n).special}
+def special_positions(prefix: Word, spec: SpecialFactors) -> list[int]:
+    """Ascending occurrence indices of the LS-or-RS factors in ``spec``."""
+    special = {w.symbols for w in spec.special}
+    n = spec.n
     sym = prefix.symbols
-    return [i for i in range(len(sym) - n + 1) if sym[i:i + n] in spec]
+    return [i for i in range(len(sym) - n + 1) if sym[i:i + n] in special]
 
 
 def simple_paths(prefix: Word, n: int) -> list[SimplePath]:
@@ -90,7 +91,8 @@ def simple_paths(prefix: Word, n: int) -> list[SimplePath]:
     caller expected to treat the input as eventually periodic) when no special
     factor of length n exists.
     """
-    paths, _ = segment_coding(prefix.symbols, special_positions(prefix, n), n)
+    positions = special_positions(prefix, special_factors(prefix, n))
+    paths, _ = segment_coding(prefix.symbols, positions, n)
     return [SimplePath(word=Word(prefix.alphabet, w), n=n) for w in paths]
 
 
@@ -160,7 +162,7 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
         return tuple(pair[x] for x in reversed(sym))
 
     sym = prefix.symbols
-    positions = special_positions(prefix, n)
+    positions = special_positions(prefix, special_factors(prefix, n))
     specials = {sym[i:i + n] for i in positions}
     vertices = frozenset(_canon_pair(w, timage(w)) for w in specials)
     edges: list[GraphEdge] = []

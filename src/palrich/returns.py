@@ -19,7 +19,7 @@ from .core import (
     segment_coding,
     symbols_are_theta_palindrome,
 )
-from .palindromes import PalIndex
+from .palindromes import pal_index
 
 
 @dataclass(frozen=True)
@@ -145,26 +145,32 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word,
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
-    idx = PalIndex(theta)
     sym = prefix.symbols
-    idx.extend(sym)
-    pair = theta.pairing
+    # bytes slices where the alphabet allows take an eighth of the memory of
+    # tuples; the palindromes of 4000 Fibonacci letters hold six million
+    seq = sym if prefix._bytes is None else prefix._bytes
+    pals = [seq[start:start + length]
+            for start, length in pal_index(theta, sym).palindrome_spans()]
+    # every complete return is a factor of the prefix, so it is a
+    # Theta-palindrome exactly when it is one of the prefix's palindromes
+    pal_set = set(pals)
     violations: list[CrwViolation] = []
     checked = 0
     worst = 0
-    for p in sorted(idx.palindrome_symbols(), key=lambda x: (len(x), x)):
+    for p in sorted(pals, key=lambda x: (len(x), x)):
         if len(p) < min_len:
             continue
-        occ = occurrences_symbols(sym, p, prefix._bytes)
+        occ = occurrences_symbols(seq, p, prefix._bytes)
         if len(occ) < 2:
             continue
         checked += 1
-        bad = [cr for cr in segment_coding(sym, occ, len(p))[0]
-               if not symbols_are_theta_palindrome(pair, cr)]
+        bad = [cr for cr in segment_coding(seq, occ, len(p))[0]
+               if cr not in pal_set]
         if bad:
             ab = prefix.alphabet
-            factor = Word(ab, p)
-            violations.extend(CrwViolation(factor=factor, complete_return=Word(ab, cr))
+            factor = Word(ab, tuple(p))
+            violations.extend(CrwViolation(factor=factor,
+                                           complete_return=Word(ab, tuple(cr)))
                               for cr in bad)
             worst = max(worst, len(p))
     return CrwReport(min_len=min_len, checked_factors=checked,
@@ -200,7 +206,5 @@ def unioccurrent_lps_scan(theta: Antimorphism, prefix: Word,
 
 def _last_defect_increment(theta: Antimorphism, sym) -> Optional[int]:
     # largest k with d_k - d_{k-1} = 1 over the prefixes of sym, or None
-    idx = PalIndex(theta)
-    idx.extend(sym)
-    d = idx.defect_values
+    d = pal_index(theta, sym).defect_values
     return max((k for k in range(1, len(d)) if d[k] > d[k - 1]), default=None)

@@ -42,7 +42,6 @@ from palrich.generators import (
 )
 from palrich.palindromes import (
     PalIndex,
-    count_theta_palindromes_expand,
     defect,
     defect_profile,
     is_rich_finite,
@@ -50,6 +49,7 @@ from palrich.palindromes import (
 from palrich.rauzy import build_graph, check_proposition1
 from palrich.returns import unioccurrent_lps_scan
 from conftest import random_involution, random_word
+from oracles import count_theta_palindromes_expand
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

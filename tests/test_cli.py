@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import palrich.decompose
 from palrich.cli import main
@@ -231,3 +234,81 @@ def test_last_increment_index_is_lps_scan_result(capsys, tmp_path):
                        default=None)
         assert rep["defect"]["last_increment_index"] == expected
         assert rep["returns"]["unioccurrent_lps_last_violation"] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--gen", "thue_morse", "--len", "8", "--out", "{dir}"],
+    ["generate", "--gen", "thue_morse", "--len", "8", "--out", "{dir}/no/w.txt"],
+    ["analyze", "--gen", "fibonacci", "--len", "200", "--out", "{dir}"],
+    ["analyze", "--gen", "fibonacci", "--len", "200", "--profile-csv", "{dir}"],
+    ["analyze", "--gen", "fibonacci", "--len", "200", "--table-csv", "{dir}"],
+    ["rauzy", "--gen", "fibonacci", "--len", "200", "--n", "1", "--dot", "{dir}"],
+], ids=["generate-out-dir", "generate-out-missing-dir", "analyze-out-dir",
+        "analyze-profile-csv-dir", "analyze-table-csv-dir", "rauzy-dot-dir"])
+def test_unwritable_output_exit_1(capsys, tmp_path, argv):
+    code, err = run_error(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
+    assert code == 1 and f"cannot write {tmp_path}" in err
+
+
+def _optional_flags(data, options) -> list:
+    argv = []
+    for flag, values in options:
+        if data.draw(st.booleans()):
+            argv += [flag, str(data.draw(values))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_argv_contract(tmp_path_factory, data):
+    # any argv ends in exit 0-3 (exit 1 with a one-line error) or in an
+    # argparse rejection, never in a traceback
+    base = tmp_path_factory.getbasetemp() / "contract"
+    base.mkdir(exist_ok=True)
+    (base / "w.txt").write_text("abaababaab\n")
+    paths = st.sampled_from([str(base / "out.txt"), str(base),
+                             str(base / "missing" / "out.txt")])
+    command = data.draw(st.sampled_from(["analyze", "rauzy", "decompose",
+                                         "generate"]))
+    argv = [command, "--len", str(data.draw(st.integers(-2, 300))),
+            *data.draw(st.sampled_from([
+                ["--gen", gen] for gen in (
+                    "fibonacci", "tribonacci", "thue_morse", "periodic:ab",
+                    "periodic:", "episturmian", "theta_standard", "nope")
+            ] + [
+                ["--word-file", path] for path in (
+                    str(base / "w.txt"), str(base), str(base / "missing.txt"))
+            ]))]
+    argv += _optional_flags(data, [
+        ("--theta", st.sampled_from(["reversal", "pairs:a-b", "pairs:a-a,b-b",
+                                     "pairs:a-b,c-c", "pairs:ab",
+                                     str(base / "missing.json")])),
+        ("--directive", st.sampled_from(["(ab)", "a(bc)", "(abc)", "()", "x"])),
+        ("--seed-word", st.sampled_from(["", "ab", "c"])),
+        ("--safe-divisor", st.integers(-1, 80)),
+        ("--out", paths),
+    ])
+    if command == "rauzy":
+        argv += ["--n", str(data.draw(st.integers(-1, 8)))]
+    if command == "decompose":
+        argv += ["--method", data.draw(st.sampled_from(["path", "return",
+                                                         "theorem3"]))]
+    argv += _optional_flags(data, {
+        "analyze": [("--max-rauzy-n", st.integers(0, 16)),
+                    ("--profile-csv", paths), ("--table-csv", paths)],
+        "rauzy": [("--dot", paths)],
+        "decompose": [("--n", st.integers(-1, 8)),
+                      ("--max-factor-len", st.integers(0, 8))],
+        "generate": [],
+    }[command])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the arguments
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -8,16 +8,16 @@ from palrich.core import Alphabet, Antimorphism, InvariantError, Word
 from palrich.generators import fibonacci_source, thue_morse_source
 from palrich.palindromes import (
     PalIndex,
-    count_theta_palindromes_expand,
     defect,
     defect_profile,
-    distinct_theta_palindromes_naive,
     is_rich_finite,
     longest_theta_pal_suffix,
     theta_pal_closure,
 )
 from conftest import brute_is_theta_pal, brute_lps, random_involution, \
     random_word, w
+from oracles import count_theta_palindromes_expand, \
+    distinct_theta_palindromes_naive, occurrence_count
 
 
 # --- oracle ------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_pal_index_unioccurrence_against_occurrence_count(ab, tr, swap):
                 rep = idx.append(s)
                 if rep.lps_length > 0:
                     lps = idx.lps_word()
-                    uni = idx.occurrence_count(lps) == 1
+                    uni = occurrence_count(idx, lps) == 1
                     assert rep.lps_unioccurrent == uni
 
 

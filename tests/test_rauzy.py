@@ -35,7 +35,7 @@ def test_simple_paths_fibonacci(ab):
 
 def test_special_positions_sorted(ab):
     fib = fibonacci_source().prefix(300)
-    pos = special_positions(fib, 2)
+    pos = special_positions(fib, special_factors(fib, 2))
     assert pos == sorted(pos)
     sym = fib.symbols
     assert all(sym[i:i + 2] in {(0, 1), (1, 0)} for i in pos)
