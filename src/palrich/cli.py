@@ -377,7 +377,9 @@ def _check_ranges(args) -> None:
     # checked here, not with argparse types: argparse errors exit 2, which
     # means "inconclusive"
     for flag, value in (("--len", args.len), ("--safe-divisor", args.safe_divisor),
-                        ("--n", getattr(args, "n", None))):
+                        ("--n", getattr(args, "n", None)),
+                        ("--max-factor-len", getattr(args, "max_factor_len", None)),
+                        ("--max-rauzy-n", getattr(args, "max_rauzy_n", None))):
         if value is not None and value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
 

@@ -1,19 +1,24 @@
 """Factor complexity C(n), palindromic complexity P(n) and the gap T(n).
 
-Counts are exact for the analyzed prefix.  When the prefix stands in for an
-infinite word, only lengths up to ``safe_length`` are treated as reliable:
-near the end of a finite prefix, factors can miss occurrences of their
-Theta-images, and the closure/richness statements concern infinite languages.
+C(n) and the closure check read one suffix automaton of the word, shared
+like ``palindromes.pal_index``.  Counts are exact for the analyzed prefix.
+When the prefix stands in for an infinite word, only lengths up to
+``safe_length`` are treated as reliable: near the end of a finite prefix,
+factors can miss occurrences of their Theta-images, and the closure/richness
+statements concern infinite languages.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 from .core import (
     Antimorphism,
     InputError,
+    InvariantError,
     PreconditionError,
     Word,
     factor_tuples,
@@ -21,6 +26,104 @@ from .core import (
 from .palindromes import pal_index
 
 DEFAULT_SAFE_DIVISOR = 64
+
+
+class _SuffixAutomaton:
+    """Smallest automaton of the factors of a word (Blumer et al. 1985).
+
+    State v stands for the factors of lengths ``length[link[v]] + 1`` to
+    ``length[v]`` that share one set of end positions; state 0 is the empty
+    word.
+    """
+
+    __slots__ = ("length", "link", "next")
+
+    def __init__(self, symbols: tuple):
+        length = [0]
+        link = [-1]
+        nxt: list[dict[int, int]] = [{}]
+        last = 0
+        for a in symbols:
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            nxt.append({})
+            p = last
+            while p != -1 and a not in nxt[p]:
+                nxt[p][a] = cur
+                p = link[p]
+            if p != -1:
+                q = nxt[p][a]
+                if length[q] == length[p] + 1:
+                    link[cur] = q
+                else:
+                    clone = len(length)
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    nxt.append(dict(nxt[q]))
+                    while p != -1 and nxt[p].get(a) == q:
+                        nxt[p][a] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+        self.length = length
+        self.link = link
+        self.next = nxt
+
+    def complexity(self) -> list[int]:
+        """C(0..|w|): each state adds 1 to C(n) on its length interval."""
+        length, link = self.length, self.link
+        diff = [0] * (max(length) + 2)
+        for v in range(1, len(length)):
+            diff[length[link[v]] + 1] += 1
+            diff[length[v] + 1] -= 1
+        return [1, *accumulate(diff[1:-1])]
+
+    def shortest_absent(self, symbols) -> Optional[int]:
+        """Length of the shortest factor of ``symbols`` that is not a factor
+        of the indexed word, or None if there is none.
+
+        Matching statistics: after each letter, ``matched`` is the longest
+        suffix read so far that is a factor; the suffix one letter longer is
+        absent, and every shortest absent factor is one of those.
+        """
+        length, link, nxt = self.length, self.link, self.next
+        best: Optional[int] = None
+        v = matched = 0
+        for read, a in enumerate(symbols, start=1):
+            while v and a not in nxt[v]:
+                v = link[v]
+                matched = length[v]
+            if a in nxt[v]:
+                v = nxt[v][a]
+                matched += 1
+            else:
+                matched = 0
+            if matched < read and (best is None or matched + 1 < best):
+                best = matched + 1
+        return best
+
+
+class _FactorCounts(NamedTuple):
+    c: tuple[int, ...]              # C(0..|w|)
+    shortest_absent: Optional[int]  # shortest factor with absent Theta-image
+
+
+@lru_cache(maxsize=1)
+def _factor_counts(theta: Antimorphism, symbols: tuple) -> _FactorCounts:
+    """C(n) and closure of one word, read off its suffix automaton.
+
+    Shared by every analysis of the word, as ``pal_index`` is.  Only the
+    counts are kept: the automaton (about 0.5 kB per letter) would stay
+    alive through the rest of the analysis and raise its peak memory.
+    """
+    sam = _SuffixAutomaton(symbols)
+    pair = theta.pairing
+    # f is a factor iff Theta(f) is a factor of Theta(w), so the shortest
+    # factor whose image is absent is as long as the shortest factor of
+    # Theta(w) absent from w
+    return _FactorCounts(tuple(sam.complexity()),
+                         sam.shortest_absent(pair[x] for x in reversed(symbols)))
 
 
 def default_safe_length(prefix_length: int, divisor: int = DEFAULT_SAFE_DIVISOR) -> int:
@@ -78,10 +181,10 @@ def complexity_table(theta: Antimorphism, prefix: Word, max_length: int,
     p = Counter(length for _, length
                 in pal_index(theta, prefix.symbols).palindrome_spans())
     p[0] = 1
-    rows = range(max_length + 2)
+    top = max_length + 1
     return ComplexityTable(source=source, max_length=max_length,
-                           c=tuple(len(factor_tuples(prefix.symbols, n)) for n in rows),
-                           p=tuple(p[n] for n in rows),
+                           c=_factor_counts(theta, prefix.symbols).c[:top + 1],
+                           p=tuple(p[n] for n in range(top + 1)),
                            safe_length=safe_length)
 
 
@@ -120,9 +223,12 @@ def closed_under_theta(theta: Antimorphism, prefix: Word,
         raise InputError("alphabet mismatch")
     pair = theta.pairing
     sym = prefix.symbols
-    for length in range(1, n + 1):
-        facs = factor_tuples(sym, length)
-        for f in facs:
-            if tuple(pair[x] for x in reversed(f)) not in facs:
-                return False, Word(prefix.alphabet, f)
-    return True, None
+    shortest = _factor_counts(theta, sym).shortest_absent
+    if shortest is None or shortest > n:
+        return True, None
+    # the first failing factor at that length, in the set's iteration order
+    facs = factor_tuples(sym, shortest)
+    for f in facs:
+        if tuple(pair[x] for x in reversed(f)) not in facs:
+            return False, Word(prefix.alphabet, f)
+    raise InvariantError(f"no factor of length {shortest} has an absent Theta-image")

@@ -78,10 +78,20 @@ def special_factors(prefix: Word, n: int) -> SpecialFactors:
 
 def special_positions(prefix: Word, spec: SpecialFactors) -> list[int]:
     """Ascending occurrence indices of the LS-or-RS factors in ``spec``."""
-    special = {w.symbols for w in spec.special}
-    n = spec.n
-    sym = prefix.symbols
-    return [i for i in range(len(sym) - n + 1) if sym[i:i + n] in special]
+    return _positions(prefix.symbols, spec.n, {w.symbols for w in spec.special})
+
+
+def _positions(sym: tuple, n: int, factors) -> list[int]:
+    return [i for i in range(len(sym) - n + 1) if sym[i:i + n] in factors]
+
+
+def _special_tuples(sym: tuple, n: int) -> set[tuple]:
+    """The LS-or-RS factors of length n, as tuples: ``special_factors``
+    without the ``Word``s."""
+    if not 0 <= n <= len(sym):
+        raise InputError(f"length {n} out of range")
+    left, right = special_extensions(sym, n)
+    return left.keys() | right.keys()
 
 
 def simple_paths(prefix: Word, n: int) -> list[SimplePath]:
@@ -91,8 +101,9 @@ def simple_paths(prefix: Word, n: int) -> list[SimplePath]:
     caller expected to treat the input as eventually periodic) when no special
     factor of length n exists.
     """
-    positions = special_positions(prefix, special_factors(prefix, n))
-    paths, _ = segment_coding(prefix.symbols, positions, n)
+    sym = prefix.symbols
+    positions = _positions(sym, n, _special_tuples(sym, n))
+    paths, _ = segment_coding(sym, positions, n)
     return [SimplePath(word=Word(prefix.alphabet, w), n=n) for w in paths]
 
 
@@ -162,8 +173,8 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
         return tuple(pair[x] for x in reversed(sym))
 
     sym = prefix.symbols
-    positions = special_positions(prefix, special_factors(prefix, n))
-    specials = {sym[i:i + n] for i in positions}
+    specials = _special_tuples(sym, n)
+    positions = _positions(sym, n, specials)
     vertices = frozenset(_canon_pair(w, timage(w)) for w in specials)
     edges: list[GraphEdge] = []
     seen: set[tuple] = set()

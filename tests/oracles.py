@@ -4,6 +4,8 @@ Each one computes its answer independently of the shared ``pal_index``:
 either straight from the definition or by the per-letter loop that the
 index-based reader replaced.
 """
+from typing import Optional
+
 from palrich.core import (
     Antimorphism,
     InputError,
@@ -146,6 +148,24 @@ def factor_loop_palindromic_complexity(theta: Antimorphism, prefix: Word,
     return [sum(1 for f in factor_tuples(prefix.symbols, n)
                 if symbols_are_theta_palindrome(pair, f))
             for n in range(max_length + 1)]
+
+
+def factor_set_complexity(prefix: Word, max_length: int) -> list[int]:
+    """C(0..max_length) as the size of each length's factor set."""
+    return [len(factor_tuples(prefix.symbols, n)) for n in range(max_length + 1)]
+
+
+def factor_set_closed_under_theta(theta: Antimorphism, prefix: Word,
+                                  n: int) -> tuple[bool, Optional[Word]]:
+    """``closed_under_theta`` testing each length's factor set in turn."""
+    pair = theta.pairing
+    sym = prefix.symbols
+    for length in range(1, n + 1):
+        facs = factor_tuples(sym, length)
+        for f in facs:
+            if tuple(pair[x] for x in reversed(f)) not in facs:
+                return False, Word(prefix.alphabet, f)
+    return True, None
 
 
 def append_loop_pal_prefix_lengths(theta: Antimorphism, prefix: Word) -> list[int]:

@@ -196,6 +196,22 @@ def test_rauzy_n_zero_exit_1(capsys):
     assert code == 1 and "--n must be at least 1" in err
 
 
+def test_decompose_max_factor_len_below_1_exit_1(capsys):
+    # condition (i) was reported true after checking no length at all
+    code, out, err = run(capsys, "decompose", "--gen", "fibonacci", "--len", "400",
+                         "--method", "path", "--n", "1", "--max-factor-len", "-5")
+    assert code == 1 and out == ""
+    assert err == "error: --max-factor-len must be at least 1, got -5\n"
+
+
+def test_analyze_max_rauzy_n_below_1_exit_1(capsys):
+    # the rauzy block was silently empty
+    code, out, err = run(capsys, "analyze", "--gen", "fibonacci", "--len", "400",
+                         "--max-rauzy-n", "-3")
+    assert code == 1 and out == ""
+    assert err == "error: --max-rauzy-n must be at least 1, got -3\n"
+
+
 def _corrupt_morphism(monkeypatch):
     original = palrich.decompose.apply_morphism
 

@@ -8,7 +8,12 @@ from palrich.complexity import (
     default_safe_length,
     is_rich_by_T,
 )
-from palrich.generators import fibonacci_source, periodic_source, thue_morse_source
+from palrich.generators import (
+    fibonacci_source,
+    periodic_source,
+    thue_morse_source,
+    tribonacci_source,
+)
 from conftest import w
 
 
@@ -92,3 +97,13 @@ def test_csv_and_describe(ab, tr):
     d = table.describe()
     assert d["source"] == "demo"
     assert len(d["C"]) == 3 and len(d["T"]) == 2
+
+
+def test_sturmian_and_tribonacci_complexity_at_64k():
+    # 65536 letters: safe length 1024, rows up to 1025
+    for src, slope in ((fibonacci_source(), 1), (tribonacci_source(), 2)):
+        word = src.prefix(65536)
+        theta = Antimorphism.reversal(word.alphabet)
+        table = complexity_table(theta, word, 1024)
+        assert table.c == tuple(slope * n + 1 for n in range(1026))
+        assert closed_under_theta(theta, word, 1024) == (True, None)

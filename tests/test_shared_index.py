@@ -1,11 +1,13 @@
-"""Readers of the shared PalIndex against the per-letter loops they replaced."""
+"""Readers of the shared PalIndex and of the shared suffix automaton against
+the per-letter and per-length loops they replaced."""
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from palrich.cli import main
 from palrich.core import Alphabet, Antimorphism, Word
-from palrich.complexity import complexity_table
+from palrich import complexity
+from palrich.complexity import closed_under_theta, complexity_table
 from palrich.decompose import _pal_prefix_lengths
 from palrich.generators import thue_morse_source
 from palrich.palindromes import PalIndex, defect_profile, pal_index
@@ -15,6 +17,8 @@ from oracles import (
     append_loop_defect_profile,
     append_loop_pal_prefix_lengths,
     factor_loop_palindromic_complexity,
+    factor_set_closed_under_theta,
+    factor_set_complexity,
     letter_check_crw_scan,
 )
 
@@ -32,8 +36,20 @@ def assert_readers_match_oracles(theta, word) -> None:
         append_loop_pal_prefix_lengths(theta, word)
     if len(word) >= 1:
         top = len(word) - 1
-        assert list(complexity_table(theta, word, top).p) == \
+        table = complexity_table(theta, word, top)
+        assert list(table.p) == \
             factor_loop_palindromic_complexity(theta, word, top + 1)
+        assert list(table.c) == factor_set_complexity(word, top + 1)
+    for n in (0, 1, 2, 3, len(word), len(word) + 2):
+        assert closed_under_theta(theta, word, n) == \
+            factor_set_closed_under_theta(theta, word, n)
+
+
+def theta_palindrome_of(theta, word):
+    # w Theta(w) is a Theta-palindrome, so its factor set is closed
+    pair = theta.pairing
+    return Word(word.alphabet,
+                word.symbols + tuple(pair[x] for x in reversed(word.symbols)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -41,6 +57,17 @@ def assert_readers_match_oracles(theta, word) -> None:
 def test_readers_match_oracles_random(data):
     theta, word = draw_word(data, 120)
     assert_readers_match_oracles(theta, word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closure_matches_oracle_random(data):
+    theta, word = draw_word(data, 60)
+    if data.draw(st.booleans()):
+        word = theta_palindrome_of(theta, word)
+    n = data.draw(st.integers(0, len(word) + 3))
+    assert closed_under_theta(theta, word, n) == \
+        factor_set_closed_under_theta(theta, word, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,6 +93,27 @@ def test_crw_scan_over_large_alphabet_matches_oracle():
                 letter_check_crw_scan(theta, word)
 
 
+def test_automaton_over_large_alphabet_matches_oracle():
+    # letters up to 299 as automaton transitions; some words are closed
+    ab = Alphabet(tuple(f"x{i}" for i in range(300)))
+    pairing = list(range(300))
+    pairing[1], pairing[299] = 299, 1
+    rng = random.Random(4)
+    outcomes = set()
+    for theta in (Antimorphism.reversal(ab), Antimorphism(ab, tuple(pairing))):
+        for _ in range(20):
+            word = Word(ab, tuple(rng.choice((0, 1, 150, 299))
+                                  for _ in range(rng.randint(1, 60))))
+            for w in (word, theta_palindrome_of(theta, word)):
+                assert list(complexity_table(theta, w, len(w) - 1).c) == \
+                    factor_set_complexity(w, len(w))
+                for n in (0, 2, len(w) + 1):
+                    result = closed_under_theta(theta, w, n)
+                    assert result == factor_set_closed_under_theta(theta, w, n)
+                    outcomes.add(result[0])
+    assert outcomes == {True, False}
+
+
 def test_memo_switches_words(tr, swap):
     # a, b, then a again: each answer must be that word's, never the
     # previous word's; b has a's letters under another Theta
@@ -75,15 +123,28 @@ def test_memo_switches_words(tr, swap):
         assert_readers_match_oracles(theta, word)
 
 
-def test_analyze_builds_one_pal_index(capsys, monkeypatch):
+def count_builds(monkeypatch, cls) -> list:
     builds = []
-    init = PalIndex.__init__
+    init = cls.__init__
 
-    def counting_init(self, theta):
-        builds.append(theta)
-        init(self, theta)
-    monkeypatch.setattr(PalIndex, "__init__", counting_init)
+    def counting_init(self, arg):
+        builds.append(arg)
+        init(self, arg)
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return builds
+
+
+def test_analyze_builds_one_pal_index(capsys, monkeypatch):
+    builds = count_builds(monkeypatch, PalIndex)
     pal_index.cache_clear()
+    assert main(["analyze", "--gen", "thue_morse", "--len", "400"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_analyze_builds_one_suffix_automaton(capsys, monkeypatch):
+    builds = count_builds(monkeypatch, complexity._SuffixAutomaton)
+    complexity._factor_counts.cache_clear()
     assert main(["analyze", "--gen", "thue_morse", "--len", "400"]) == 0
     capsys.readouterr()
     assert len(builds) == 1
