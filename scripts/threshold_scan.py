@@ -37,6 +37,10 @@ def main() -> int:
     ap.add_argument("--max-len", type=int, default=16000)
     ap.add_argument("--min-len", type=int, default=1000)
     args = ap.parse_args()
+    if args.min_len < 1:
+        print(f"error: --min-len must be at least 1, got {args.min_len}",
+              file=sys.stderr)
+        return 1
     print(f"{'word':12s} {'len':>6s} {'defect':>6s} {'crw_thr':>8s} "
           f"{'last_viol':>9s}")
     for name, theta, src in corpus():

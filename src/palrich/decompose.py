@@ -35,8 +35,8 @@ from .generators import (
     arnoux_rauzy_check,
     theta_standard_with_seed_source,
 )
-from .palindromes import defect, pal_index
-from .rauzy import special_extensions, special_factors, special_positions
+from .palindromes import defect, pal_prefix_lengths
+from .rauzy import _positions, _special_tuples, special_extensions
 from .returns import crw_palindromicity_scan, mirror_bounded_palindromicity, \
     occurrences_alternate
 
@@ -132,23 +132,23 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
     if not 1 <= n <= len(prefix) // 4:
         raise InputError(f"coding length {n} unreasonable for |prefix|={len(prefix)}")
 
-    spec = special_factors(prefix, n)
-    if not spec.special:
+    sym = prefix.symbols
+    specials = _special_tuples(sym, n)
+    if not specials:
         return _periodic_coding(theta, prefix, n)
 
-    chosen_spec = None
+    chosen: Optional[int] = None
     for cand in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
-        sp = spec if cand == n else special_factors(prefix, cand)
-        if not sp.special:
+        sp = specials if cand == n else _special_tuples(sym, cand)
+        if not sp:
             break
-        if prefix.factor(0, cand) in sp.special:
-            chosen_spec = sp
+        if sym[:cand] in sp:
+            chosen, specials = cand, sp
             break
     flags: dict = {}
-    if chosen_spec is None:
-        chosen_spec = spec
+    if chosen is None:
+        chosen = n
         flags["aligned_at_first_special"] = True
-    chosen = chosen_spec.n
 
     closed, witness = closed_under_theta(theta, prefix, chosen)
     if not closed:
@@ -156,14 +156,13 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
             "factor set is not closed under Theta at the coding length",
             {"n": chosen, "witness": witness.text if witness else None})
 
-    positions = special_positions(prefix, chosen_spec)
+    positions = _positions(sym, chosen, specials)
     if len(positions) < 2:
         raise DecomposeError("fewer than two special-factor occurrences witnessed",
                              {"n": chosen})
     if positions[0] != 0:
         flags["aligned_at"] = positions[0]
 
-    sym = prefix.symbols
     pair = theta.pairing
     paths, v_sym = segment_coding(sym, positions, chosen)
     letter_of = {e: k for k, e in enumerate(paths)}
@@ -310,13 +309,6 @@ def verify_eq4(theta: Antimorphism, phi: Morphism, p: Word, w: Word) -> bool:
     return lhs.symbols == rhs.symbols
 
 
-def _pal_prefix_lengths(theta: Antimorphism, prefix: Word) -> list[int]:
-    # lengths L >= 1, ascending, such that prefix[:L] is a Theta-palindrome:
-    # the palindromes whose first occurrence starts at 0
-    return [length for start, length
-            in pal_index(theta, prefix.symbols).palindrome_spans() if start == 0]
-
-
 def _candidate_prefix_lengths(theta: Antimorphism,
                               prefix: Word) -> tuple[int, list[int]]:
     # the empirical threshold (longest factor with a non-palindromic complete
@@ -325,7 +317,7 @@ def _candidate_prefix_lengths(theta: Antimorphism,
     scan = crw_palindromicity_scan(theta, prefix)
     worst = max((len(v.factor) for v in scan.violations), default=0)
     target = max(1, DEFAULT_SAFETY_MARGIN * worst)
-    return target, [length for length in _pal_prefix_lengths(theta, prefix)
+    return target, [length for length in pal_prefix_lengths(theta, prefix.symbols)
                     if target <= length <= len(prefix) // 4]
 
 

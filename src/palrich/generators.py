@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import Alphabet, Antimorphism, InputError, Word
-from .palindromes import PalIndex
+from .palindromes import pal_prefix_lengths, theta_pal_closure
 from .rauzy import special_extensions
 from .complexity import closed_under_theta
 
@@ -49,6 +49,11 @@ class DirectiveSequence:
                    Word.from_text(alphabet, period, tokens))
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise InputError(f"prefix length {n} is negative")
+
+
 class WordSource:
     """Base class: deterministic prefix generator over a fixed alphabet."""
 
@@ -72,6 +77,7 @@ class PeriodicSource(WordSource):
         self.period = period
 
     def prefix(self, n: int) -> Word:
+        _check_length(n)
         p = self.period.symbols
         reps = n // len(p) + 1
         return Word(self.alphabet, (p * reps)[:n])
@@ -89,6 +95,7 @@ class ThueMorseSource(WordSource):
         self.alphabet = Alphabet(letters)
 
     def prefix(self, n: int) -> Word:
+        _check_length(n)
         return Word(self.alphabet,
                     tuple(bin(i).count("1") & 1 for i in range(n)))
 
@@ -99,6 +106,10 @@ class ClosureSource(WordSource):
     w_0 is the closure of the seed; w_{k+1} is the closure of w_k followed
     by the next directive letter.  The classical episturmian construction is
     the special case Theta = reversal, empty seed.
+
+    Each step appends a part of w_k read off its proper Theta-palindromic
+    prefixes (Justin's formula in the pseudopalindromic form of de Luca and
+    De Luca 2006), so no palindromic index is built.
     """
 
     kind = "theta_standard_seed"
@@ -111,36 +122,42 @@ class ClosureSource(WordSource):
         self.seed = seed
         self.directive = directive
         self._pair = theta.pairing
-        self._idx = PalIndex(theta)
-        self._buf: list[int] = []
+        self._buf = list(theta_pal_closure(theta, seed).symbols)
+        # ascending lengths of the proper Theta-palindromic prefixes of the
+        # current word: longer ones than the seed's would contain the seed,
+        # so they are at least as long as its closure
+        self._pal_prefixes = [0] if self._buf else []
+        self._pal_prefixes += [k for k in pal_prefix_lengths(theta, seed.symbols)
+                               if k < len(self._buf)]
         self._steps = 0
-        self.construction_log: list[dict] = []
-        self._close(list(seed.symbols), step=0, letter=None)
-
-    def _close(self, extra: list[int], step: int, letter: Optional[int]) -> None:
-        # append pending letters, then complete to the Theta-palindromic closure
-        for s in extra:
-            self._idx.append(s)
-            self._buf.append(s)
-        p_len = len(self._buf) - self._idx.lps_length
-        pair = self._pair
-        for x in reversed(self._buf[:p_len]):
-            t = pair[x]
-            self._idx.append(t)
-            self._buf.append(t)
-        self.construction_log.append({
-            "step": step,
-            "letter": None if letter is None else self.alphabet.letters[letter],
-            "length": len(self._buf),
-        })
+        self.construction_log: list[dict] = [
+            {"step": 0, "letter": None, "length": len(self._buf)}]
 
     def _grow_to(self, n: int) -> None:
-        while len(self._buf) < n:
+        buf = self._buf
+        while len(buf) < n:
             self._steps += 1
-            letter = self.directive.letter(self._steps - 1)
-            self._close([letter], step=self._steps, letter=letter)
+            a = self.directive.letter(self._steps - 1)
+            # a Theta-palindromic suffix of w_k a longer than one letter is
+            # Theta(a) q a, q a proper Theta-palindromic prefix followed by a;
+            # the longest q gives w_k w_k[|q|:], none w_k a (Theta(a)) w_k
+            k = len(buf)
+            for q in reversed(self._pal_prefixes):
+                if buf[q] == a:
+                    buf.extend(buf[q:k])
+                    break
+            else:
+                buf.extend((a,) if self._pair[a] == a else (a, self._pair[a]))
+                buf.extend(buf[:k])
+            self._pal_prefixes.append(k)
+            self.construction_log.append({
+                "step": self._steps,
+                "letter": self.alphabet.letters[a],
+                "length": len(buf),
+            })
 
     def prefix(self, n: int) -> Word:
+        _check_length(n)
         self._grow_to(n)
         return Word(self.alphabet, tuple(self._buf[:n]))
 

@@ -21,28 +21,13 @@ from .core import (
 
 
 class _Node:
-    __slots__ = ("length", "link", "next", "first_end", "ends")
+    __slots__ = ("length", "link", "next", "first_end")
 
     def __init__(self, length: int):
         self.length = length
         self.link: "_Node" = self  # patched right after construction
         self.next: dict[int, "_Node"] = {}
         self.first_end = -1
-        self.ends = 0  # positions where this palindrome is the longest pal suffix
-
-
-@dataclass(frozen=True)
-class AppendReport:
-    """Outcome of one PalIndex append.
-
-    Lengths instead of materialized words keep appends O(1); use
-    ``PalIndex.word_at`` to recover the actual factors.
-    """
-
-    end: int                       # index of the appended letter
-    new_palindrome_length: Optional[int]   # None if no new palindrome arose
-    lps_length: int                # longest Theta-palindromic suffix of w[:end+1]
-    lps_unioccurrent: bool
 
 
 class PalIndex:
@@ -129,7 +114,7 @@ class PalIndex:
                 return node
             node = node.link
 
-    def append(self, a: int) -> AppendReport:
+    def append(self, a: int) -> None:
         if not 0 <= a < len(self.theta.alphabet):
             raise InputError(f"invalid letter index {a}")
         sym = self._sym
@@ -138,14 +123,11 @@ class PalIndex:
         ta = self._pair[a]
 
         found = self._walk(self._last, pos, ta, a)
-        new_len: Optional[int] = None
-        unioccurrent = False
         if found is None:
             self._last = self._root_0
         else:
             node = found.next.get(a)
             if node is not None:
-                node.ends += 1
                 self._last = node
             else:
                 node = _Node(found.length + 2)
@@ -155,20 +137,14 @@ class PalIndex:
                     up = self._walk(found.link, pos, ta, a)
                     node.link = self._root_0 if up is None else up.next[a]
                 node.first_end = pos
-                node.ends = 1
                 found.next[a] = node
                 self._nodes.append(node)
                 self._pal_count += 1
                 self._last = node
-                new_len = node.length
-                unioccurrent = True
 
         if ta != a:
             self._gamma_pairs.add((min(a, ta), max(a, ta)))
         self._defects.append(len(sym) + 1 - len(self._gamma_pairs) - self._pal_count)
-        return AppendReport(end=pos, new_palindrome_length=new_len,
-                            lps_length=self._last.length,
-                            lps_unioccurrent=unioccurrent)
 
     def extend(self, symbols) -> None:
         for s in symbols:
@@ -206,6 +182,13 @@ def pal_index(theta: Antimorphism, symbols: tuple) -> PalIndex:
     idx = PalIndex(theta)
     idx.extend(symbols)
     return idx
+
+
+def pal_prefix_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
+    """Lengths L >= 1, ascending, such that symbols[:L] is a Theta-palindrome:
+    the palindromes whose first occurrence starts at 0."""
+    return [length for start, length
+            in pal_index(theta, symbols).palindrome_spans() if start == 0]
 
 
 def defect(theta: Antimorphism, w: Word) -> int:

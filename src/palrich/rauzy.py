@@ -76,11 +76,6 @@ def special_factors(prefix: Word, n: int) -> SpecialFactors:
                           right_special=frozenset(Word(ab, w) for w in right))
 
 
-def special_positions(prefix: Word, spec: SpecialFactors) -> list[int]:
-    """Ascending occurrence indices of the LS-or-RS factors in ``spec``."""
-    return _positions(prefix.symbols, spec.n, {w.symbols for w in spec.special})
-
-
 def _positions(sym: tuple, n: int, factors) -> list[int]:
     return [i for i in range(len(sym) - n + 1) if sym[i:i + n] in factors]
 

@@ -15,6 +15,7 @@ from palrich.core import (
     segment_coding,
     symbols_are_theta_palindrome,
 )
+from palrich.generators import DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile, PalIndex
 from palrich.returns import CrwReport, CrwViolation
 
@@ -92,23 +93,9 @@ def count_theta_palindromes_expand(theta: Antimorphism, w: Word) -> int:
     return len(seen) + 1  # epsilon
 
 
-def occurrence_count(idx: PalIndex, w: Word) -> int:
-    """Occurrences of a Theta-palindromic factor in the processed prefix.
-
-    Computed on demand by summing link-tree subtree ends counts.
-    """
-    target = None
-    for node in idx._nodes[2:]:
-        if node.length == len(w) and \
-                tuple(idx._sym[node.first_end + 1 - node.length:node.first_end + 1]) == w.symbols:
-            target = node
-            break
-    if target is None:
-        return 0
-    totals = {id(n): n.ends for n in idx._nodes}
-    for node in reversed(idx._nodes[2:]):
-        totals[id(node.link)] += totals[id(node)]
-    return totals[id(target)]
+def occurrence_count(w: Word, f: Word) -> int:
+    """Occurrences of the factor f in w, found one by one."""
+    return len(occurrences_symbols(w.symbols, f.symbols))
 
 
 def letter_check_crw_scan(theta: Antimorphism, prefix: Word,
@@ -191,3 +178,43 @@ def append_loop_defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
         pals.append(idx.pal_count)
     return DefectProfile(word=w, values=tuple(idx.defect_values),
                          gammas=tuple(gammas), pal_counts=tuple(pals))
+
+
+class AppendLoopClosureSource(WordSource):
+    """``ClosureSource`` completing each step to the closure through a
+    private ``PalIndex``: the longest Theta-palindromic suffix of w_k a, read
+    after appending every letter, decides what to append next."""
+
+    kind = "theta_standard_seed"
+
+    def __init__(self, theta: Antimorphism, seed: Word, directive: DirectiveSequence):
+        self.alphabet = theta.alphabet
+        self.directive = directive
+        self._pair = theta.pairing
+        self._idx = PalIndex(theta)
+        self._buf: list[int] = []
+        self._steps = 0
+        self.construction_log: list[dict] = []
+        self._close(list(seed.symbols), step=0, letter=None)
+
+    def _close(self, extra: list[int], step: int, letter: Optional[int]) -> None:
+        for s in extra:
+            self._idx.append(s)
+            self._buf.append(s)
+        p_len = len(self._buf) - self._idx.lps_length
+        for x in reversed(self._buf[:p_len]):
+            t = self._pair[x]
+            self._idx.append(t)
+            self._buf.append(t)
+        self.construction_log.append({
+            "step": step,
+            "letter": None if letter is None else self.alphabet.letters[letter],
+            "length": len(self._buf),
+        })
+
+    def prefix(self, n: int) -> Word:
+        while len(self._buf) < n:
+            self._steps += 1
+            letter = self.directive.letter(self._steps - 1)
+            self._close([letter], step=self._steps, letter=letter)
+        return Word(self.alphabet, tuple(self._buf[:n]))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palrich.core import Alphabet, Antimorphism, InputError, Word
 from palrich.palindromes import defect, theta_pal_closure
@@ -12,7 +13,8 @@ from palrich.generators import (
     thue_morse_source,
     tribonacci_source,
 )
-from conftest import w
+from conftest import random_involution, random_word, w
+from oracles import AppendLoopClosureSource
 
 
 def test_directive_sequence(ab):
@@ -134,3 +136,50 @@ def test_generated_words_have_zero_defect(ab):
 def test_arnoux_rauzy_first_failure(ab, text, valence, first_failure, reason):
     rep = arnoux_rauzy_check(w(ab, text), 6, valence)
     assert (rep.ok, rep.first_failure, rep.reason) == (False, first_failure, reason)
+
+
+@pytest.mark.parametrize("make", [
+    lambda ab: periodic_source(w(ab, "abb")),
+    lambda ab: thue_morse_source(),
+    lambda ab: fibonacci_source(),
+    lambda ab: theta_standard_with_seed_source(
+        Antimorphism.reversal(ab), w(ab, "abbbbbbbb"),
+        DirectiveSequence.parse(ab, "", "ab")),
+], ids=["periodic", "thue_morse", "fibonacci", "theta_standard_seed"])
+def test_negative_prefix_length_rejected(ab, make):
+    src = make(ab)
+    for n in (-1, -3):
+        with pytest.raises(InputError):
+            src.prefix(n)
+    assert src.prefix(0).text == ""
+
+
+def assert_closure_matches_oracle(theta, seed, d, m, m2):
+    # each source is grown twice, so the second call extends the first
+    src = theta_standard_with_seed_source(theta, seed, d)
+    ref = AppendLoopClosureSource(theta, seed, d)
+    for n in (m, m2):
+        assert src.prefix(n) == ref.prefix(n)
+    assert src.construction_log == ref.construction_log
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closure_source_matches_append_loop_oracle(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    theta = random_involution(rng, data.draw(st.integers(1, 4)))
+    seed = random_word(rng, theta, data.draw(st.integers(0, 12)))
+    d = DirectiveSequence(random_word(rng, theta, data.draw(st.integers(0, 4))),
+                          random_word(rng, theta, data.draw(st.integers(1, 4))))
+    m = data.draw(st.integers(0, 120))
+    assert_closure_matches_oracle(theta, seed, d, m,
+                                  data.draw(st.integers(m + 1, m + 200)))
+
+
+@pytest.mark.parametrize("seed", ["", "b", "ab", "abbbbbbbb", "bab"])
+@pytest.mark.parametrize("pre, period", [("b", "a"), ("", "a"), ("ab", "b")])
+def test_closure_source_single_letter_period(ab, tr, swap, seed, pre, period):
+    # one letter per step once the period letter starts the word
+    d = DirectiveSequence.parse(ab, pre, period)
+    for theta in (tr, swap):
+        assert_closure_matches_oracle(theta, w(ab, seed), d, 7, 120)

@@ -47,24 +47,27 @@ def test_naive_oracle_agrees_with_definition_exhaustively(ab, tr, swap):
 # --- PalIndex ----------------------------------------------------------------
 
 def test_pal_index_append_reports(ab, tr, swap):
+    # a new palindrome shows as a pal_count step of one; it is the lps
     idx = PalIndex(tr)
     idx.extend(w(ab, "ab").symbols)
-    rep = idx.append(ab.index("a"))
-    assert rep.new_palindrome_length == 3
+    before = idx.pal_count
+    assert idx.append(ab.index("a")) is None
+    assert idx.pal_count == before + 1
+    assert idx.lps_length == 3
     assert idx.lps_word().text == "aba"
-    assert rep.lps_unioccurrent
 
     idx = PalIndex(swap)
     idx.append(ab.index("a"))
-    rep = idx.append(ab.index("b"))
-    assert rep.new_palindrome_length == 2
+    before = idx.pal_count
+    idx.append(ab.index("b"))
+    assert idx.pal_count == before + 1
+    assert idx.lps_length == 2
     assert idx.lps_word().text == "ab"
 
     idx = PalIndex(swap)
-    rep = idx.append(ab.index("a"))
-    assert rep.new_palindrome_length is None  # "a" is not an E-palindrome
-    assert rep.lps_length == 0
-    assert not rep.lps_unioccurrent
+    idx.append(ab.index("a"))
+    assert idx.pal_count == 1  # "a" is not an E-palindrome: only epsilon
+    assert idx.lps_length == 0
 
 
 def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
@@ -75,7 +78,8 @@ def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
                 idx = PalIndex(theta)
                 seen = {Word(ab, ())}
                 for k, s in enumerate(bits, start=1):
-                    rep = idx.append(s)
+                    before = idx.pal_count
+                    idx.append(s)
                     prefix = word.factor(0, k)
                     oracle = distinct_theta_palindromes_naive(theta, prefix)
                     assert idx.pal_count == len(oracle)
@@ -85,10 +89,11 @@ def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
                     assert len(new) <= 1
                     if new:
                         only = next(iter(new))
-                        assert rep.new_palindrome_length == len(only)
+                        assert idx.pal_count == before + 1
+                        assert idx.lps_length == len(only)
                         assert only == brute_lps(theta, prefix)
                     else:
-                        assert rep.new_palindrome_length is None
+                        assert idx.pal_count == before
                     assert idx.lps_word() == brute_lps(theta, prefix)
                     seen = oracle
 
@@ -107,17 +112,18 @@ def test_pal_index_matches_oracles_random(data):
 
 
 def test_pal_index_unioccurrence_against_occurrence_count(ab, tr, swap):
+    # the lps occurs once exactly when the append added a palindrome
     rng = random.Random(7)
     for theta in (tr, swap):
         for _ in range(40):
             word = random_word(rng, theta, rng.randint(1, 60))
             idx = PalIndex(theta)
             for k, s in enumerate(word.symbols, start=1):
-                rep = idx.append(s)
-                if rep.lps_length > 0:
-                    lps = idx.lps_word()
-                    uni = occurrence_count(idx, lps) == 1
-                    assert rep.lps_unioccurrent == uni
+                before = idx.pal_count
+                idx.append(s)
+                if idx.lps_length > 0:
+                    uni = occurrence_count(word.factor(0, k), idx.lps_word()) == 1
+                    assert (idx.pal_count == before + 1) == uni
 
 
 # --- defect ------------------------------------------------------------------

@@ -5,8 +5,8 @@ from palrich.rauzy import (
     check_proposition1,
     simple_paths,
     special_factors,
-    special_positions,
 )
+from palrich.decompose import theorem1_decompose
 from palrich.generators import fibonacci_source, periodic_source, thue_morse_source
 from conftest import w
 
@@ -33,9 +33,11 @@ def test_simple_paths_fibonacci(ab):
         assert p.end.text in {"ab", "ba"}
 
 
-def test_special_positions_sorted(ab):
+def test_special_positions_sorted(ab, tr):
     fib = fibonacci_source().prefix(300)
-    pos = special_positions(fib, special_factors(fib, 2))
+    coding = theorem1_decompose(tr, fib, 2)
+    pos = list(coding.occurrence_indices)
+    assert coding.n == 2
     assert pos == sorted(pos)
     sym = fib.symbols
     assert all(sym[i:i + 2] in {(0, 1), (1, 0)} for i in pos)

@@ -2,15 +2,16 @@
 the per-letter and per-length loops they replaced."""
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from palrich.cli import main
 from palrich.core import Alphabet, Antimorphism, Word
 from palrich import complexity
 from palrich.complexity import closed_under_theta, complexity_table
-from palrich.decompose import _pal_prefix_lengths
 from palrich.generators import thue_morse_source
-from palrich.palindromes import PalIndex, defect_profile, pal_index
+from palrich.palindromes import PalIndex, defect_profile, pal_index, \
+    pal_prefix_lengths
 from palrich.returns import crw_palindromicity_scan
 from conftest import random_involution, random_word
 from oracles import (
@@ -32,7 +33,7 @@ def draw_word(data, max_len: int):
 def assert_readers_match_oracles(theta, word) -> None:
     assert crw_palindromicity_scan(theta, word) == letter_check_crw_scan(theta, word)
     assert defect_profile(theta, word) == append_loop_defect_profile(theta, word)
-    assert _pal_prefix_lengths(theta, word) == \
+    assert pal_prefix_lengths(theta, word.symbols) == \
         append_loop_pal_prefix_lengths(theta, word)
     if len(word) >= 1:
         top = len(word) - 1
@@ -148,3 +149,23 @@ def test_analyze_builds_one_suffix_automaton(capsys, monkeypatch):
     assert main(["analyze", "--gen", "thue_morse", "--len", "400"]) == 0
     capsys.readouterr()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv, appends", [
+    (["--gen", "fibonacci"], 400),
+    # the seed "ab" is indexed for its closure and palindromic prefixes
+    (["--gen", "theta_standard", "--theta", "pairs:a-a,b-b",
+      "--seed-word", "ab", "--directive", "(ab)"], 402),
+])
+def test_closure_words_append_each_letter_once(capsys, monkeypatch, argv, appends):
+    letters = []
+    append = PalIndex.append
+
+    def counting_append(self, a):
+        letters.append(a)
+        return append(self, a)
+    monkeypatch.setattr(PalIndex, "append", counting_append)
+    pal_index.cache_clear()
+    assert main(["analyze", *argv, "--len", "400"]) == 0
+    capsys.readouterr()
+    assert len(letters) == appends
