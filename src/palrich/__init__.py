@@ -39,7 +39,6 @@ from .rauzy import (
     SuperReducedRauzyGraph,
     build_graph,
     check_proposition1,
-    simple_paths,
     special_factors,
 )
 from .returns import (

@@ -145,10 +145,6 @@ class ComplexityTable:
             raise InputError(f"T(n) defined for 1 <= n <= {self.max_length}")
         return self.c[n + 1] - self.c[n] + 2 - self.p[n + 1] - self.p[n]
 
-    @property
-    def t_values(self) -> dict[int, int]:
-        return {n: self.t(n) for n in range(1, self.max_length + 1)}
-
     def to_csv(self) -> str:
         lines = ["n,C,P,T"]
         for n in range(self.max_length + 1):

@@ -108,16 +108,6 @@ class Antimorphism:
             raise InputError(f"letters missing from pairing: {missing}")
         return cls(alphabet, tuple(mapping[i] for i in range(len(alphabet))))
 
-    def image(self, letter_index: int) -> int:
-        return self.pairing[letter_index]
-
-    def is_fixed(self, letter_index: int) -> bool:
-        return self.pairing[letter_index] == letter_index
-
-    @property
-    def is_reversal(self) -> bool:
-        return all(b == a for a, b in enumerate(self.pairing))
-
     def describe(self) -> dict:
         return {
             "letters": list(self.alphabet.letters),
@@ -311,13 +301,6 @@ class Morphism:
         ims = tuple(Word.from_text(target, images[t], tokens) for t in source.letters)
         return cls(source, target, ims)
 
-    @property
-    def is_erasing(self) -> bool:
-        return any(len(im) == 0 for im in self.images)
-
-    def __call__(self, w: Word) -> Word:
-        return apply_morphism(self, w)
-
     def describe(self) -> dict:
         return {t: self.images[i].text for i, t in enumerate(self.source.letters)}
 
@@ -372,12 +355,10 @@ def antimorphism_from_file(path: str) -> Antimorphism:
     return antimorphism_from_config(cfg)
 
 
-def word_from_file(path: str, alphabet: Optional[Alphabet] = None,
-                   tokens: bool = False) -> Word:
-    """UTF-8 word file: one letter per character, or whitespace tokens."""
+def word_from_file(path: str, tokens: bool = False) -> Word:
+    """UTF-8 word file: one letter per character, or whitespace tokens; the
+    alphabet is the sorted set of letters found."""
     text = _read_text(path)
     if not tokens:
         text = "".join(text.split())
-    if alphabet is None:
-        return Word.parse(text, tokens=tokens)
-    return Word.from_text(alphabet, text, tokens=tokens)
+    return Word.parse(text, tokens=tokens)

@@ -7,7 +7,7 @@ Theta-palindromic closure.  Every source yields consistent prefixes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import Alphabet, Antimorphism, InputError, Word
@@ -43,10 +43,8 @@ class DirectiveSequence:
         return {"pre": self.pre.text, "period": self.period.text}
 
     @classmethod
-    def parse(cls, alphabet: Alphabet, pre: str, period: str,
-              tokens: bool = False) -> "DirectiveSequence":
-        return cls(Word.from_text(alphabet, pre, tokens),
-                   Word.from_text(alphabet, period, tokens))
+    def parse(cls, alphabet: Alphabet, pre: str, period: str) -> "DirectiveSequence":
+        return cls(Word.from_text(alphabet, pre), Word.from_text(alphabet, period))
 
 
 def _check_length(n: int) -> None:
@@ -90,9 +88,7 @@ class ThueMorseSource(WordSource):
     """Fixed point of a -> ab, b -> ba, starting with a."""
 
     kind = "thue_morse"
-
-    def __init__(self, letters: tuple[str, str] = ("a", "b")):
-        self.alphabet = Alphabet(letters)
+    alphabet = Alphabet(("a", "b"))
 
     def prefix(self, n: int) -> Word:
         _check_length(n)

@@ -17,6 +17,8 @@ from .core import (
     InputError,
     InvariantError,
     Word,
+    _check_same,
+    gamma,
 )
 
 
@@ -46,9 +48,6 @@ class PalIndex:
         self._root_0.link = self._root_m1
         self._nodes: list[_Node] = [self._root_m1, self._root_0]
         self._last = self._root_0
-        self._pal_count = 1  # epsilon
-        self._gamma_pairs: set[tuple[int, int]] = set()
-        self._defects: list[int] = [0]
 
     # -- queries --------------------------------------------------------------
 
@@ -58,48 +57,22 @@ class PalIndex:
     @property
     def pal_count(self) -> int:
         """#PalTheta of the processed prefix, epsilon included."""
-        return self._pal_count
-
-    @property
-    def gamma(self) -> int:
-        return len(self._gamma_pairs)
-
-    @property
-    def defect(self) -> int:
-        return self._defects[-1]
-
-    @property
-    def defect_values(self) -> list[int]:
-        """d_k for every prefix length k processed so far."""
-        return list(self._defects)
+        return len(self._nodes) - 1
 
     @property
     def lps_length(self) -> int:
         return self._last.length
 
-    def word_at(self, end: int, length: int) -> Word:
-        return Word(self.theta.alphabet,
-                    tuple(self._sym[end + 1 - length:end + 1]))
-
     def lps_word(self) -> Word:
-        return self.word_at(len(self._sym) - 1, self._last.length)
+        sym = self._sym
+        return Word(self.theta.alphabet,
+                    tuple(sym[len(sym) - self._last.length:]))
 
     def palindrome_spans(self) -> list[tuple[int, int]]:
         """(start, length) of the first occurrence of each distinct non-empty
         Theta-palindromic factor seen, in order of that occurrence's end."""
         return [(node.first_end + 1 - node.length, node.length)
                 for node in self._nodes[2:]]
-
-    def palindrome_symbols(self) -> list[tuple]:
-        """Distinct non-empty Theta-palindromic factors seen, as symbol tuples."""
-        sym = self._sym
-        return [tuple(sym[start:start + length])
-                for start, length in self.palindrome_spans()]
-
-    def palindromes(self) -> set[Word]:
-        """All distinct Theta-palindromic factors seen, epsilon included."""
-        ab = self.theta.alphabet
-        return {Word(ab, ())} | {Word(ab, p) for p in self.palindrome_symbols()}
 
     # -- construction ---------------------------------------------------------
 
@@ -139,12 +112,7 @@ class PalIndex:
                 node.first_end = pos
                 found.next[a] = node
                 self._nodes.append(node)
-                self._pal_count += 1
                 self._last = node
-
-        if ta != a:
-            self._gamma_pairs.add((min(a, ta), max(a, ta)))
-        self._defects.append(len(sym) + 1 - len(self._gamma_pairs) - self._pal_count)
 
     def extend(self, symbols) -> None:
         for s in symbols:
@@ -193,28 +161,33 @@ def pal_prefix_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
 
 def defect(theta: Antimorphism, w: Word) -> int:
     """Theta-palindromic defect |w| + 1 - gamma - #Pal, via PalIndex."""
-    d = pal_index(theta, w.symbols).defect
+    d = len(w) + 1 - gamma(theta, w) - pal_index(theta, w.symbols).pal_count
     if d < 0:
         raise InvariantError(f"negative defect {d}: palindrome count bound violated")
     return d
 
 
 def defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
-    values = pal_index(theta, w.symbols).defect_values
+    _check_same(theta, w)
+    # #Pal_k counts the palindromes whose first occurrence ends by k
+    first_ends = [0] * (len(w) + 1)
+    for start, length in pal_index(theta, w.symbols).palindrome_spans():
+        first_ends[start + length] += 1
     pair = theta.pairing
     classes: set[int] = set()
-    gammas = [0]
-    for s in w.symbols:
+    values, gammas, pals = [0], [0], [1]
+    for k, s in enumerate(w.symbols, start=1):
         if pair[s] != s:
             classes.add(min(s, pair[s]))
         gammas.append(len(classes))
-    # d_k = k + 1 - gamma_k - #Pal_k, solved for #Pal_k
-    pals = (k + 1 - g - d for k, (g, d) in enumerate(zip(gammas, values)))
+        pals.append(pals[-1] + first_ends[k])
+        values.append(k + 1 - gammas[-1] - pals[-1])
     return DefectProfile(word=w, values=tuple(values), gammas=tuple(gammas),
                          pal_counts=tuple(pals))
 
 
 def longest_theta_pal_suffix(theta: Antimorphism, w: Word) -> Word:
+    _check_same(theta, w)
     return pal_index(theta, w.symbols).lps_word()
 
 
@@ -224,6 +197,7 @@ def theta_pal_closure(theta: Antimorphism, w: Word) -> Word:
     With w = p s, s the longest Theta-palindromic suffix, the closure is
     w Theta(p).
     """
+    _check_same(theta, w)
     p_len = len(w) - pal_index(theta, w.symbols).lps_length
     pair = theta.pairing
     tail = tuple(pair[x] for x in reversed(w.symbols[:p_len]))

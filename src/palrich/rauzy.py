@@ -9,7 +9,6 @@ and the graph becomes a tree once loops are removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     Antimorphism,
@@ -29,26 +28,6 @@ class SpecialFactors:
     @property
     def bispecial(self) -> frozenset[Word]:
         return self.left_special & self.right_special
-
-    @property
-    def special(self) -> frozenset[Word]:
-        return self.left_special | self.right_special
-
-
-@dataclass(frozen=True)
-class SimplePath:
-    """Factor whose only special length-n factors are its ends."""
-
-    word: Word
-    n: int
-
-    @property
-    def begin(self) -> Word:
-        return self.word.factor(0, self.n)
-
-    @property
-    def end(self) -> Word:
-        return self.word.factor(len(self.word) - self.n, len(self.word))
 
 
 def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
@@ -87,19 +66,6 @@ def _special_tuples(sym: tuple, n: int) -> set[tuple]:
         raise InputError(f"length {n} out of range")
     left, right = special_extensions(sym, n)
     return left.keys() | right.keys()
-
-
-def simple_paths(prefix: Word, n: int) -> list[SimplePath]:
-    """All distinct n-simple paths witnessed in the prefix.
-
-    Found between consecutive occurrences of special factors; empty (with the
-    caller expected to treat the input as eventually periodic) when no special
-    factor of length n exists.
-    """
-    sym = prefix.symbols
-    positions = _positions(sym, n, _special_tuples(sym, n))
-    paths, _ = segment_coding(sym, positions, n)
-    return [SimplePath(word=Word(prefix.alphabet, w), n=n) for w in paths]
 
 
 def _canon_pair(x: tuple, y: tuple) -> tuple[tuple, tuple]:

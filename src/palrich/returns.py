@@ -19,7 +19,7 @@ from .core import (
     segment_coding,
     symbols_are_theta_palindrome,
 )
-from .palindromes import pal_index
+from .palindromes import defect_profile, pal_index
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,6 @@ class CrwViolation:
 
 @dataclass(frozen=True)
 class CrwReport:
-    min_len: int
     checked_factors: int
     violations: tuple[CrwViolation, ...]
     empirical_threshold: int   # smallest length with no violations at or above it
@@ -123,7 +122,7 @@ class CrwReport:
 
     def describe(self) -> dict:
         return {
-            "min_len": self.min_len,
+            "min_len": 1,
             "checked_factors": self.checked_factors,
             "violations": [
                 {"factor": v.factor.text, "complete_return": v.complete_return.text}
@@ -133,15 +132,14 @@ class CrwReport:
         }
 
 
-def crw_palindromicity_scan(theta: Antimorphism, prefix: Word,
-                            min_len: int = 1) -> CrwReport:
+def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     """Check complete returns of every Theta-palindromic factor for
     Theta-palindromicity.
 
-    Scans all Theta-palindromic factors of length >= min_len occurring at
-    least twice; the empirical threshold is one more than the longest
-    violating factor (a stand-in for the existential constant of the
-    finite-defect characterization).
+    Scans all non-empty Theta-palindromic factors occurring at least twice;
+    the empirical threshold is one more than the longest violating factor (a
+    stand-in for the existential constant of the finite-defect
+    characterization).
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
@@ -158,8 +156,6 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word,
     checked = 0
     worst = 0
     for p in sorted(pals, key=lambda x: (len(x), x)):
-        if len(p) < min_len:
-            continue
         occ = occurrences_symbols(seq, p, prefix._bytes)
         if len(occ) < 2:
             continue
@@ -173,38 +169,18 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word,
                                            complete_return=Word(ab, tuple(cr)))
                               for cr in bad)
             worst = max(worst, len(p))
-    return CrwReport(min_len=min_len, checked_factors=checked,
-                     violations=tuple(violations),
-                     empirical_threshold=max(min_len, worst + 1))
+    return CrwReport(checked_factors=checked, violations=tuple(violations),
+                     empirical_threshold=worst + 1)
 
 
-FULL_SCAN_LIMIT = 5000
-
-
-def unioccurrent_lps_scan(theta: Antimorphism, prefix: Word,
-                          full: bool = False) -> Optional[int]:
+def unioccurrent_lps_scan(theta: Antimorphism, prefix: Word) -> Optional[int]:
     """Last position where the longest Theta-palindromic suffix fails to be
     unioccurrent; None if no violation.
 
-    Default mode scans prefixes of the word only (a violation at prefix
-    length k is exactly a defect increment d_k - d_{k-1} = 1).  Full mode
-    additionally scans every factor, which is quadratic and therefore gated
-    to |prefix| <= 5000.
+    Prefixes of the word are scanned: a violation at prefix length k is
+    exactly a defect increment d_k - d_{k-1} = 1.
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
-    sym = prefix.symbols
-    if not full:
-        return _last_defect_increment(theta, sym)
-    if len(sym) > FULL_SCAN_LIMIT:
-        raise InputError(
-            f"full scan is quadratic; limited to |prefix| <= {FULL_SCAN_LIMIT}")
-    ends = [start + k for start in range(len(sym))
-            if (k := _last_defect_increment(theta, sym[start:])) is not None]
-    return max(ends, default=None)
-
-
-def _last_defect_increment(theta: Antimorphism, sym) -> Optional[int]:
-    # largest k with d_k - d_{k-1} = 1 over the prefixes of sym, or None
-    d = pal_index(theta, sym).defect_values
+    d = defect_profile(theta, prefix).values
     return max((k for k in range(1, len(d)) if d[k] > d[k - 1]), default=None)

@@ -98,8 +98,7 @@ def occurrence_count(w: Word, f: Word) -> int:
     return len(occurrences_symbols(w.symbols, f.symbols))
 
 
-def letter_check_crw_scan(theta: Antimorphism, prefix: Word,
-                          min_len: int = 1) -> CrwReport:
+def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     """``crw_palindromicity_scan`` testing each complete return letter by letter."""
     idx = PalIndex(theta)
     sym = prefix.symbols
@@ -108,9 +107,8 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word,
     violations: list[CrwViolation] = []
     checked = 0
     worst = 0
-    for p in sorted(idx.palindrome_symbols(), key=lambda x: (len(x), x)):
-        if len(p) < min_len:
-            continue
+    pals = [sym[start:start + length] for start, length in idx.palindrome_spans()]
+    for p in sorted(pals, key=lambda x: (len(x), x)):
         occ = occurrences_symbols(sym, p, prefix._bytes)
         if len(occ) < 2:
             continue
@@ -123,9 +121,8 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word,
             violations.extend(CrwViolation(factor=factor, complete_return=Word(ab, cr))
                               for cr in bad)
             worst = max(worst, len(p))
-    return CrwReport(min_len=min_len, checked_factors=checked,
-                     violations=tuple(violations),
-                     empirical_threshold=max(min_len, worst + 1))
+    return CrwReport(checked_factors=checked, violations=tuple(violations),
+                     empirical_threshold=worst + 1)
 
 
 def factor_loop_palindromic_complexity(theta: Antimorphism, prefix: Word,
@@ -168,16 +165,21 @@ def append_loop_pal_prefix_lengths(theta: Antimorphism, prefix: Word) -> list[in
 
 
 def append_loop_defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
-    """Defect profile read off the index after each append."""
+    """Defect profile with #Pal read off the index after each append and
+    gamma counted from the pairs met so far."""
     idx = PalIndex(theta)
-    gammas = [0]
-    pals = [1]
-    for s in w.symbols:
+    pair = theta.pairing
+    met: set[frozenset] = set()
+    values, gammas, pals = [0], [0], [1]
+    for k, s in enumerate(w.symbols, start=1):
         idx.append(s)
-        gammas.append(idx.gamma)
+        if pair[s] != s:
+            met.add(frozenset((s, pair[s])))
+        gammas.append(len(met))
         pals.append(idx.pal_count)
-    return DefectProfile(word=w, values=tuple(idx.defect_values),
-                         gammas=tuple(gammas), pal_counts=tuple(pals))
+        values.append(k + 1 - len(met) - idx.pal_count)
+    return DefectProfile(word=w, values=tuple(values), gammas=tuple(gammas),
+                         pal_counts=tuple(pals))
 
 
 class AppendLoopClosureSource(WordSource):

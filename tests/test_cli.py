@@ -190,6 +190,24 @@ def test_analyze_input_errors_exit_1(capsys, tmp_path, make_input, message):
     assert code == 1 and message in err
 
 
+@pytest.mark.parametrize("theta, message", [
+    ("pairs:a-b", "letters missing from pairing: ['c']"),
+    ({"letters": ["a", "b", "c"], "pairs": [["a", "b"]]},
+     "letter 'c' must appear in exactly one pair"),
+    ({"letters": ["a", "b", "c", "d"],
+      "pairs": [["a", "b"], ["c", "c"], ["d", "d"]]}, "alphabet mismatch"),
+], ids=["pairs-unlisted-letter", "config-unlisted-letter", "config-extra-letter"])
+def test_theta_must_list_exactly_the_word_letters(capsys, tmp_path, theta, message):
+    # unlisted letters are not taken as fixed points
+    if isinstance(theta, dict):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta))
+        theta = str(path)
+    code, err = run_error(capsys, "analyze", "--gen", "tribonacci",
+                          "--len", "200", "--theta", theta)
+    assert code == 1 and message in err
+
+
 def test_rauzy_n_zero_exit_1(capsys):
     code, err = run_error(capsys, "rauzy", "--gen", "fibonacci",
                           "--len", "200", "--n", "0")

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich.core import Alphabet, Antimorphism, InvariantError, Word
+from palrich.core import Alphabet, Antimorphism, InputError, InvariantError, Word
 from palrich.generators import fibonacci_source, thue_morse_source
 from palrich.palindromes import (
     PalIndex,
@@ -83,7 +83,9 @@ def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
                     prefix = word.factor(0, k)
                     oracle = distinct_theta_palindromes_naive(theta, prefix)
                     assert idx.pal_count == len(oracle)
-                    assert idx.palindromes() == oracle
+                    assert {Word(ab, ())} | {
+                        Word(ab, bits[start:start + length])
+                        for start, length in idx.palindrome_spans()} == oracle
                     # at most one new palindrome per step, and it is the lps
                     new = oracle - seen
                     assert len(new) <= 1
@@ -138,7 +140,8 @@ def test_defect_examples(ab, tr, swap):
 
 
 def test_negative_defect_raises(ab, tr, monkeypatch):
-    monkeypatch.setattr(PalIndex, "defect", property(lambda self: -1))
+    # |ab| + 1 - gamma = 3, so four palindromes would give defect -1
+    monkeypatch.setattr(PalIndex, "pal_count", property(lambda self: 4))
     with pytest.raises(InvariantError):
         defect(tr, w(ab, "ab"))
 
@@ -227,6 +230,14 @@ def test_longest_suffix_matches_brute(data):
     theta = random_involution(rng, data.draw(st.integers(1, 3)))
     word = random_word(rng, theta, data.draw(st.integers(0, 60)))
     assert longest_theta_pal_suffix(theta, word) == brute_lps(theta, word)
+
+
+@pytest.mark.parametrize("fn", [defect, defect_profile, is_rich_finite,
+                                longest_theta_pal_suffix, theta_pal_closure])
+def test_alphabet_mismatch_rejected(ab, fn):
+    xy = Alphabet(("x", "y"))
+    with pytest.raises(InputError, match="alphabet mismatch"):
+        fn(Antimorphism.from_pairs(xy, [("x", "y")]), w(ab, "abba"))
 
 
 def test_is_rich_finite(ab, tr):

@@ -3,7 +3,6 @@ from palrich.complexity import complexity_table
 from palrich.rauzy import (
     build_graph,
     check_proposition1,
-    simple_paths,
     special_factors,
 )
 from palrich.decompose import theorem1_decompose
@@ -23,14 +22,20 @@ def test_special_factors_fibonacci(tr, ab):
     assert {x.text for x in spec1.bispecial} == {"a"}
 
 
-def test_simple_paths_fibonacci(ab):
+def test_simple_paths_fibonacci(ab, tr):
+    # the n-simple paths are the edges of the graph, each paired with its
+    # reversal; on Fibonacci every path is a palindrome
     fib = fibonacci_source().prefix(2000)
-    assert {p.word.text for p in simple_paths(fib, 1)} == {"aa", "aba"}
-    paths = simple_paths(fib, 2)
-    assert {p.word.text for p in paths} == {"aba", "baab", "bab"}
-    for p in paths:
-        assert p.begin.text in {"ab", "ba"}
-        assert p.end.text in {"ab", "ba"}
+
+    def paths(n):
+        return {Word(ab, e).text
+                for edge in build_graph(tr, fib, n).edges for e in edge.words}
+
+    assert paths(1) == {"aa", "aba"}
+    assert paths(2) == {"aba", "baab", "bab"}
+    for p in paths(2):
+        assert p[:2] in {"ab", "ba"}
+        assert p[-2:] in {"ab", "ba"}
 
 
 def test_special_positions_sorted(ab, tr):

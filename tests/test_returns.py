@@ -103,13 +103,6 @@ def test_crw_scan_flags_thue_morse(tr):
     assert d["violations"][0]["factor"] == v.factor.text
 
 
-def test_crw_min_len_filter(tr):
-    tm = thue_morse_source().prefix(600)
-    full = crw_palindromicity_scan(tr, tm)
-    high = crw_palindromicity_scan(tr, tm, min_len=full.empirical_threshold)
-    assert high.clean
-
-
 def test_unioccurrent_lps_scan(ab, tr):
     abc = Alphabet(("a", "b", "c"))
     trc = Antimorphism.reversal(abc)
@@ -121,19 +114,8 @@ def test_unioccurrent_lps_scan(ab, tr):
     assert unioccurrent_lps_scan(tr, tm) is not None
 
 
-def test_unioccurrent_full_mode(ab, tr):
-    tm = thue_morse_source().prefix(300)
-    prefix_only = unioccurrent_lps_scan(tr, tm)
-    full = unioccurrent_lps_scan(tr, tm, full=True)
-    assert full is not None and prefix_only is not None
-    assert full >= prefix_only
-    big = fibonacci_source().prefix(6000)
-    with pytest.raises(InputError):
-        unioccurrent_lps_scan(tr, big, full=True)
-
-
 def test_scans_agree_with_defect_zero_random(tr, ab):
-    # defect 0 on the whole word means the prefix-mode scan finds nothing
+    # defect 0 on the whole word means the scan finds no defect increment
     rng = random.Random(11)
     for _ in range(30):
         theta = random_involution(rng, rng.randint(1, 3))

@@ -71,15 +71,6 @@ def test_closure_matches_oracle_random(data):
         factor_set_closed_under_theta(theta, word, n)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_crw_min_len_matches_oracle_random(data):
-    theta, word = draw_word(data, 120)
-    min_len = data.draw(st.integers(1, 6))
-    assert crw_palindromicity_scan(theta, word, min_len) == \
-        letter_check_crw_scan(theta, word, min_len)
-
-
 def test_crw_scan_over_large_alphabet_matches_oracle():
     # over more than 256 letters the scan slices tuples instead of bytes
     ab = Alphabet(tuple(f"x{i}" for i in range(300)))
