@@ -42,10 +42,6 @@ class Alphabet:
                 raise InputError(f"duplicate letter: {tok!r}")
             seen.add(tok)
 
-    @classmethod
-    def of(cls, letters: Iterable[str]) -> "Alphabet":
-        return cls(tuple(letters))
-
     @cached_property
     def _index(self) -> dict:
         return {tok: i for i, tok in enumerate(self.letters)}

@@ -37,12 +37,12 @@ from .generators import (
 )
 from .palindromes import defect, pal_prefix_lengths
 from .rauzy import _positions, _special_tuples, special_extensions
-from .returns import crw_palindromicity_scan, mirror_bounded_palindromicity, \
-    occurrences_alternate
+from .returns import crw_palindromicity_scan, occurrences_alternate
 
 DEFAULT_SAFETY_MARGIN = 2
 SEARCH_BUDGET = 64      # coding lengths tried past n by theorem1_decompose
 MAX_CANDIDATES = 16     # palindromic prefixes tried by theorem2_decompose
+REPORTED_WITNESSES = 8  # condition (i) witnesses kept in the report
 
 
 class DecomposeError(RuntimeError):
@@ -220,32 +220,70 @@ class RichnessConditionsReport:
         }
 
 
+def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
+                              max_factor_len: int) -> list[Word]:
+    # every minimal factor from w to Theta(w) that is not a Theta-palindrome,
+    # for the factors w up to max_factor_len, ordered by (|w|, first
+    # occurrence of w, start); lengths stop once REPORTED_WITNESSES are found.
+    # Occurrences of w and Theta(w) share the class min(w, Theta(w)), so one
+    # sweep per length sees each pair of consecutive marks of a class; it is
+    # a minimal segment for w exactly when the later mark is Theta(w).
+    pair = theta2.pairing
+    if v_prefix._bytes is None:
+        seq = v_prefix.symbols
+
+        def image(f):
+            return tuple(pair[x] for x in reversed(f))
+    else:
+        seq = v_prefix._bytes
+        table = bytes(pair) + bytes(range(len(pair), 256))
+
+        def image(f):
+            return f[::-1].translate(table)
+    witnesses: list[Word] = []
+    for length in range(1, min(max_factor_len, len(seq)) + 1):
+        seen: dict = {}     # factor -> (its Theta-image, first occurrence)
+        last: dict = {}     # class -> (start, factor) of its latest mark
+        found: dict = {}    # segment -> (first occurrence of w, start)
+        for i in range(len(seq) - length + 1):
+            g = seq[i:i + length]
+            info = seen.get(g)
+            if info is None:
+                info = seen[g] = (image(g), i)
+            tg = info[0]
+            cls = min(g, tg)
+            prev = last.get(cls)
+            last[cls] = (i, g)
+            if prev is None or prev[1] != tg:
+                continue
+            i1, h = prev
+            seg = seq[i1:i + length]
+            if seg not in found and image(seg) != seg:
+                found[seg] = (seen[h][1], i1)
+        witnesses.extend(Word(v_prefix.alphabet, tuple(seg))
+                         for seg in sorted(found, key=found.__getitem__))
+        if len(witnesses) >= REPORTED_WITNESSES:
+            break
+    return witnesses
+
+
 def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
                               max_factor_len: Optional[int] = None
                               ) -> RichnessConditionsReport:
     """Mirror-bounded palindromicity for every factor, plus letter-image
     occurrence alternation.
 
-    Condition (i) is scanned over all distinct factors up to
-    ``max_factor_len`` (default: half the prefix, capped at 64).
+    Condition (i) is scanned over all factors up to ``max_factor_len``
+    (default: half the prefix, capped at 64).  A prefix of Theta-defect 0
+    satisfies it at every length, so it is not scanned.
     """
     if len(v_prefix) == 0:
         raise InputError("empty recoded prefix")
     if max_factor_len is None:
         max_factor_len = min(max(1, len(v_prefix) // 2), 64)
-    sym = v_prefix.symbols
     witnesses: list[Word] = []
-    for length in range(1, max_factor_len + 1):
-        seen: set[tuple] = set()
-        for i in range(len(sym) - length + 1):
-            f = sym[i:i + length]
-            if f in seen:
-                continue
-            seen.add(f)
-            ok, wit = mirror_bounded_palindromicity(
-                theta2, v_prefix, Word(v_prefix.alphabet, f))
-            if not ok:
-                witnesses.extend(wit)
+    if defect(theta2, v_prefix) != 0:
+        witnesses = _mirror_bounded_witnesses(theta2, v_prefix, max_factor_len)
     cond_ii = True
     cond_ii_witness = None
     for a in range(len(theta2.alphabet)):
@@ -259,7 +297,7 @@ def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
             break
     return RichnessConditionsReport(
         condition_i=not witnesses,
-        condition_i_witnesses=tuple(witnesses[:8]),
+        condition_i_witnesses=tuple(witnesses[:REPORTED_WITNESSES]),
         condition_ii=cond_ii, condition_ii_witness=cond_ii_witness,
         max_factor_len=max_factor_len)
 
@@ -313,9 +351,13 @@ def _candidate_prefix_lengths(theta: Antimorphism,
                               prefix: Word) -> tuple[int, list[int]]:
     # the empirical threshold (longest factor with a non-palindromic complete
     # return, times the safety margin) and the Theta-palindromic prefix
-    # lengths from it up to a quarter of the prefix, ascending
-    scan = crw_palindromicity_scan(theta, prefix)
-    worst = max((len(v.factor) for v in scan.violations), default=0)
+    # lengths from it up to a quarter of the prefix, ascending.  Every complete
+    # return of a palindrome in a word of defect 0 is a palindrome, so such a
+    # prefix has no violation and is not scanned
+    worst = 0
+    if defect(theta, prefix) != 0:
+        scan = crw_palindromicity_scan(theta, prefix)
+        worst = max((len(v.factor) for v in scan.violations), default=0)
     target = max(1, DEFAULT_SAFETY_MARGIN * worst)
     return target, [length for length in pal_prefix_lengths(theta, prefix.symbols)
                     if target <= length <= len(prefix) // 4]

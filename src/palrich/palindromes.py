@@ -51,9 +51,6 @@ class PalIndex:
 
     # -- queries --------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._sym)
-
     @property
     def pal_count(self) -> int:
         """#PalTheta of the processed prefix, epsilon included."""

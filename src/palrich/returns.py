@@ -116,10 +116,6 @@ class CrwReport:
     violations: tuple[CrwViolation, ...]
     empirical_threshold: int   # smallest length with no violations at or above it
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
     def describe(self) -> dict:
         return {
             "min_len": 1,

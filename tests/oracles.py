@@ -17,7 +17,8 @@ from palrich.core import (
 )
 from palrich.generators import DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile, PalIndex
-from palrich.returns import CrwReport, CrwViolation
+from palrich.returns import CrwReport, CrwViolation, \
+    mirror_bounded_palindromicity
 
 
 def distinct_theta_palindromes_naive(theta: Antimorphism, w: Word) -> set[Word]:
@@ -123,6 +124,25 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
             worst = max(worst, len(p))
     return CrwReport(checked_factors=checked, violations=tuple(violations),
                      empirical_threshold=worst + 1)
+
+
+def factor_loop_condition_i(theta2: Antimorphism, v: Word,
+                            max_factor_len: int) -> list[Word]:
+    """Every condition (i) witness of ``richness_conditions_check``:
+    ``mirror_bounded_palindromicity`` of each distinct factor, by length and
+    then by first occurrence."""
+    sym = v.symbols
+    witnesses: list[Word] = []
+    for length in range(1, max_factor_len + 1):
+        seen: set[tuple] = set()
+        for i in range(len(sym) - length + 1):
+            f = sym[i:i + length]
+            if f in seen:
+                continue
+            seen.add(f)
+            witnesses.extend(
+                mirror_bounded_palindromicity(theta2, v, Word(v.alphabet, f))[1])
+    return witnesses
 
 
 def factor_loop_palindromic_complexity(theta: Antimorphism, prefix: Word,

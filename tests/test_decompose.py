@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palrich.core import (
     Alphabet,
@@ -28,7 +30,9 @@ from palrich.generators import (
     thue_morse_source,
 )
 from palrich.palindromes import defect
-from conftest import w
+from palrich.returns import crw_palindromicity_scan
+from conftest import random_involution, random_word, w
+from oracles import factor_loop_condition_i
 
 
 # --- simple-path recoding -----------------------------------------------------
@@ -82,6 +86,74 @@ def test_simple_path_validation(tr, ab):
     coding = theorem1_decompose(trc, word, 1)
     assert coding.flags.get("periodic")
     assert coding.flags["period_length"] == 3
+
+
+# --- condition (i) -------------------------------------------------------------
+
+def assert_condition_i_matches_oracle(theta, word, max_factor_len):
+    rep = richness_conditions_check(theta, word, max_factor_len)
+    expected = factor_loop_condition_i(theta, word, max_factor_len)
+    assert rep.condition_i == (not expected)
+    assert rep.condition_i_witnesses == tuple(expected[:8])
+    return len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_condition_i_matches_factor_loop(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        theta = random_involution(rng, data.draw(st.integers(1, 4)))
+        word = random_word(rng, theta, data.draw(st.integers(1, 40)))
+    else:
+        # over more than 256 letters the sweep slices tuples, not bytes
+        ab = Alphabet(tuple(f"x{i}" for i in range(300)))
+        pairing = list(range(300))
+        if data.draw(st.booleans()):
+            pairing[1], pairing[299] = 299, 1
+        theta = Antimorphism(ab, tuple(pairing))
+        word = Word(ab, tuple(rng.choice((0, 1, 150, 299))
+                              for _ in range(data.draw(st.integers(1, 40)))))
+    max_factor_len = data.draw(st.integers(1, len(word) + 5))
+    assert_condition_i_matches_oracle(theta, word, max_factor_len)
+
+
+def test_condition_i_reports_first_eight_of_many_witnesses():
+    rng = random.Random(5)
+    many = 0
+    for _ in range(200):
+        theta = random_involution(rng, rng.randint(2, 4))
+        word = random_word(rng, theta, rng.randint(20, 40))
+        if assert_condition_i_matches_oracle(theta, word, len(word)) > 8:
+            many += 1
+    assert many > 0
+
+
+def every_involution(k: int):
+    ab = Alphabet(tuple("abc"[:k]))
+    yield Antimorphism.reversal(ab)
+    for a, b in itertools.combinations(range(k), 2):
+        pairing = list(range(k))
+        pairing[a], pairing[b] = b, a
+        yield Antimorphism(ab, tuple(pairing))
+
+
+def test_defect_zero_implies_clean_scans_exhaustively():
+    # the two shortcuts of the decompose layer: a word of Theta-defect 0 has
+    # only palindromic complete returns and satisfies condition (i) at every
+    # length (the converse fails for finite words and is never used)
+    rich = 0
+    for k, top in ((1, 10), (2, 11), (3, 7)):
+        for theta in every_involution(k):
+            for length in range(1, top + 1):
+                for sym in itertools.product(range(k), repeat=length):
+                    word = Word(theta.alphabet, sym)
+                    if defect(theta, word) != 0:
+                        continue
+                    rich += 1
+                    assert not crw_palindromicity_scan(theta, word).violations
+                    assert not factor_loop_condition_i(theta, word, length)
+    assert rich == 6582
 
 
 # --- identities ---------------------------------------------------------------
