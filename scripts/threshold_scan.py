@@ -18,8 +18,8 @@ from palrich.generators import (
     theta_standard_with_seed_source,
     thue_morse_source,
 )
-from palrich.palindromes import defect
-from palrich.returns import crw_palindromicity_scan, unioccurrent_lps_scan
+from palrich.palindromes import crw_violation_lengths, defect
+from palrich.returns import unioccurrent_lps_scan
 
 
 def corpus():
@@ -47,10 +47,10 @@ def main() -> int:
         n = args.min_len
         while n <= args.max_len:
             w = src.prefix(n)
-            scan = crw_palindromicity_scan(theta, w)
+            # the threshold of crw_palindromicity_scan, read from the index
+            crw_thr = 1 + max(crw_violation_lengths(theta, w.symbols), default=0)
             last = unioccurrent_lps_scan(theta, w)
-            print(f"{name:12s} {n:6d} {defect(theta, w):6d} "
-                  f"{scan.empirical_threshold:8d} "
+            print(f"{name:12s} {n:6d} {defect(theta, w):6d} {crw_thr:8d} "
                   f"{'-' if last is None else last:>9}")
             n *= 2
     return 0

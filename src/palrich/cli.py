@@ -337,8 +337,14 @@ def _add_common(sp) -> None:
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is an input error (exit 1); exit 2 means "inconclusive"
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="palrich",
         description="Analysis of words with respect to an involutive "
                     "antimorphism: palindromic defect, complexity gaps, Rauzy "
@@ -374,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    # checked here, not with argparse types: argparse errors exit 2, which
-    # means "inconclusive"
     for flag, value in (("--len", args.len), ("--safe-divisor", args.safe_divisor),
                         ("--n", getattr(args, "n", None)),
                         ("--max-factor-len", getattr(args, "max_factor_len", None)),
@@ -385,9 +389,8 @@ def _check_ranges(args) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_ranges(args)
         return args.func(args)
     except InputError as exc:

@@ -291,12 +291,6 @@ class Morphism:
             if im.alphabet != self.target:
                 raise InputError("morphism image over wrong alphabet")
 
-    @classmethod
-    def from_texts(cls, source: Alphabet, target: Alphabet,
-                   images: dict[str, str], tokens: bool = False) -> "Morphism":
-        ims = tuple(Word.from_text(target, images[t], tokens) for t in source.letters)
-        return cls(source, target, ims)
-
     def describe(self) -> dict:
         return {t: self.images[i].text for i, t in enumerate(self.source.letters)}
 

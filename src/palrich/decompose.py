@@ -35,9 +35,9 @@ from .generators import (
     arnoux_rauzy_check,
     theta_standard_with_seed_source,
 )
-from .palindromes import defect, pal_prefix_lengths
+from .palindromes import crw_violation_lengths, defect, pal_prefix_lengths
 from .rauzy import _positions, _special_tuples, special_extensions
-from .returns import crw_palindromicity_scan, occurrences_alternate
+from .returns import occurrences_alternate
 
 DEFAULT_SAFETY_MARGIN = 2
 SEARCH_BUDGET = 64      # coding lengths tried past n by theorem1_decompose
@@ -351,13 +351,8 @@ def _candidate_prefix_lengths(theta: Antimorphism,
                               prefix: Word) -> tuple[int, list[int]]:
     # the empirical threshold (longest factor with a non-palindromic complete
     # return, times the safety margin) and the Theta-palindromic prefix
-    # lengths from it up to a quarter of the prefix, ascending.  Every complete
-    # return of a palindrome in a word of defect 0 is a palindrome, so such a
-    # prefix has no violation and is not scanned
-    worst = 0
-    if defect(theta, prefix) != 0:
-        scan = crw_palindromicity_scan(theta, prefix)
-        worst = max((len(v.factor) for v in scan.violations), default=0)
+    # lengths from it up to a quarter of the prefix, ascending
+    worst = max(crw_violation_lengths(theta, prefix.symbols), default=0)
     target = max(1, DEFAULT_SAFETY_MARGIN * worst)
     return target, [length for length in pal_prefix_lengths(theta, prefix.symbols)
                     if target <= length <= len(prefix) // 4]

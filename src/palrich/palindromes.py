@@ -23,13 +23,14 @@ from .core import (
 
 
 class _Node:
-    __slots__ = ("length", "link", "next", "first_end")
+    __slots__ = ("length", "link", "next", "first_end", "lps_of")
 
     def __init__(self, length: int):
         self.length = length
         self.link: "_Node" = self  # patched right after construction
         self.next: dict[int, "_Node"] = {}
         self.first_end = -1
+        self.lps_of = 0     # non-empty prefixes whose lps this node is
 
 
 class PalIndex:
@@ -110,6 +111,7 @@ class PalIndex:
                 found.next[a] = node
                 self._nodes.append(node)
                 self._last = node
+        self._last.lps_of += 1
 
     def extend(self, symbols) -> None:
         for s in symbols:
@@ -154,6 +156,22 @@ def pal_prefix_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
     the palindromes whose first occurrence starts at 0."""
     return [length for start, length
             in pal_index(theta, symbols).palindrome_spans() if start == 0]
+
+
+def crw_violation_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
+    """Lengths of the non-empty Theta-palindromes with a non-palindromic
+    complete return: the lps (longest Theta-palindromic suffix) of two
+    prefixes, i.e. the lps at an occurrence after their first.  If p is
+    lps(w[:k]) and occurs earlier, the complete return from its previous
+    occurrence to k is a longer suffix of w[:k]: no palindrome.  Conversely,
+    let r be the first-ending non-palindromic complete return of p, ending
+    at k, and s = lps(w[:k]): |s| < |r| puts Theta(p) = p at the start of s
+    inside r, so s = p; |s| = |r| makes r a palindrome; |s| > |r| makes
+    Theta(r), a prefix of s, such a return ending earlier.  The roots are left
+    out: the lps is empty when a != Theta(a); only non-empty factors count.
+    """
+    return [node.length for node in pal_index(theta, symbols)._nodes[2:]
+            if node.lps_of > 1]
 
 
 def defect(theta: Antimorphism, w: Word) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -60,6 +61,16 @@ def random_involution(rng: random.Random, size: int) -> Antimorphism:
         else:
             pairing[a] = a
     return Antimorphism(alphabet, tuple(pairing))
+
+
+def every_involution(k: int):
+    """The reversal and every involution with one 2-cycle, over 1 to 3 letters."""
+    ab = Alphabet(tuple("abc"[:k]))
+    yield Antimorphism.reversal(ab)
+    for a, b in itertools.combinations(range(k), 2):
+        pairing = list(range(k))
+        pairing[a], pairing[b] = b, a
+        yield Antimorphism(ab, tuple(pairing))
 
 
 def random_word(rng: random.Random, theta: Antimorphism, length: int) -> Word:

@@ -154,6 +154,28 @@ def test_bad_inputs_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--gen", "fibonacci", "--len", "abc"],
+    ["decompose", "--gen", "fibonacci", "--method", "nope"],
+    ["rauzy", "--gen", "fibonacci"],
+    ["analyze", "--gen", "fibonacci", "--bogus"],
+    [],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 is reserved for an inconclusive decomposition
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_out_flag_writes_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(capsys, "analyze", "--gen", "fibonacci",
@@ -295,8 +317,8 @@ def _optional_flags(data, options) -> list:
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cli_argv_contract(tmp_path_factory, data):
-    # any argv ends in exit 0-3 (exit 1 with a one-line error) or in an
-    # argparse rejection, never in a traceback
+    # any argv ends in exit 0-3 (exit 1 with a one-line error, usage errors
+    # included), never in a traceback or an argparse exit
     base = tmp_path_factory.getbasetemp() / "contract"
     base.mkdir(exist_ok=True)
     (base / "w.txt").write_text("abaababaab\n")
@@ -304,7 +326,8 @@ def test_cli_argv_contract(tmp_path_factory, data):
                              str(base / "missing" / "out.txt")])
     command = data.draw(st.sampled_from(["analyze", "rauzy", "decompose",
                                          "generate"]))
-    argv = [command, "--len", str(data.draw(st.integers(-2, 300))),
+    argv = [command, "--len", data.draw(st.one_of(st.integers(-2, 300).map(str),
+                                                  st.just("abc"))),
             *data.draw(st.sampled_from([
                 ["--gen", gen] for gen in (
                     "fibonacci", "tribonacci", "thue_morse", "periodic:ab",
@@ -326,7 +349,7 @@ def test_cli_argv_contract(tmp_path_factory, data):
         argv += ["--n", str(data.draw(st.integers(-1, 8)))]
     if command == "decompose":
         argv += ["--method", data.draw(st.sampled_from(["path", "return",
-                                                         "theorem3"]))]
+                                                         "theorem3", "nope"]))]
     argv += _optional_flags(data, {
         "analyze": [("--max-rauzy-n", st.integers(0, 16)),
                     ("--profile-csv", paths), ("--table-csv", paths)],
@@ -337,11 +360,7 @@ def test_cli_argv_contract(tmp_path_factory, data):
     }[command])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse rejects the arguments
-            assert exc.code == 2
-            return
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert err.getvalue().startswith("error: ")

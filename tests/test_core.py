@@ -67,10 +67,10 @@ def test_is_theta_palindrome(ab, tr, swap):
 def test_apply_morphism():
     src = Alphabet(("0", "1"))
     tgt = Alphabet(("a", "b"))
-    phi = Morphism.from_texts(src, tgt, {"0": "ab", "1": "a"})
+    phi = Morphism(src, tgt, (w(tgt, "ab"), w(tgt, "a")))
     assert apply_morphism(phi, Word.from_text(src, "01")).text == "aba"
     assert apply_morphism(phi, Word.from_text(src, "")).text == ""
-    phi2 = Morphism.from_texts(src, tgt, {"0": "aa", "1": ""})
+    phi2 = Morphism(src, tgt, (w(tgt, "aa"), w(tgt, "")))
     assert apply_morphism(phi2, Word.from_text(src, "000")).text == "aaaaaa"
 
 

@@ -31,7 +31,7 @@ from palrich.generators import (
 )
 from palrich.palindromes import defect
 from palrich.returns import crw_palindromicity_scan
-from conftest import random_involution, random_word, w
+from conftest import every_involution, random_involution, random_word, w
 from oracles import factor_loop_condition_i
 
 
@@ -127,15 +127,6 @@ def test_condition_i_reports_first_eight_of_many_witnesses():
         if assert_condition_i_matches_oracle(theta, word, len(word)) > 8:
             many += 1
     assert many > 0
-
-
-def every_involution(k: int):
-    ab = Alphabet(tuple("abc"[:k]))
-    yield Antimorphism.reversal(ab)
-    for a, b in itertools.combinations(range(k), 2):
-        pairing = list(range(k))
-        pairing[a], pairing[b] = b, a
-        yield Antimorphism(ab, tuple(pairing))
 
 
 def test_defect_zero_implies_clean_scans_exhaustively():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-import palrich.returns
+import palrich.palindromes
 
 THRESHOLD_SCAN = pathlib.Path(__file__).resolve().parents[1] / "scripts" / \
     "threshold_scan.py"
@@ -32,7 +32,7 @@ def test_threshold_scan_rejects_min_len_below_one(capsys, monkeypatch, min_len):
     # n *= 2 never leaves 0 or a negative n: the scan must not start
     def no_scan(*args):
         raise AssertionError("a prefix was scanned")
-    monkeypatch.setattr(palrich.returns, "crw_palindromicity_scan", no_scan)
+    monkeypatch.setattr(palrich.palindromes, "crw_violation_lengths", no_scan)
     assert run_threshold_scan(monkeypatch, "--min-len", min_len,
                               "--max-len", "2000") == 1
     out, err = capsys.readouterr()
