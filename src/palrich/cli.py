@@ -53,6 +53,7 @@ from .rauzy import build_graph, check_proposition1
 from .returns import crw_palindromicity_scan, unioccurrent_lps_scan
 
 SCHEMA_VERSION = 1
+EQ4_SAMPLES = 100  # random words on which --method return checks eq4
 
 
 def _parse_theta(spec: str, alphabet: Optional[Alphabet]) -> Antimorphism:
@@ -153,6 +154,13 @@ def _emit(args, payload: dict) -> None:
     _output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _header(args, descriptor: dict, theta: Antimorphism, **body) -> dict:
+    # the keys shared by the analyze and decompose path/return reports
+    return {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
+            "seed": args.seed, "input": descriptor,
+            "antimorphism": theta.describe(), **body}
+
+
 def cmd_analyze(args) -> int:
     w, theta, descriptor = _load_input(args)
     safe = default_safe_length(len(w), args.safe_divisor)
@@ -174,33 +182,29 @@ def cmd_analyze(args) -> int:
         }
     crw = crw_palindromicity_scan(theta, w)
     lps_scan = unioccurrent_lps_scan(theta, w)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "seed": args.seed,
-        "input": descriptor,
-        "antimorphism": theta.describe(),
-        "prefix_length": len(w),
-        "safe_length": safe,
-        "defect": {
+    report = _header(
+        args, descriptor, theta,
+        prefix_length=len(w),
+        safe_length=safe,
+        defect={
             "of_prefix": profile.final(),   # defect of the analyzed prefix,
                                             # not of the infinite word
             "last_increment_index": lps_scan,
             "gamma": profile.gammas[-1],
             "pal_count": profile.pal_counts[-1],
         },
-        "complexity": table.describe(),
-        "closure": {"closed": closed,
-                    "witness": witness.text if witness else None,
-                    "checked_up_to": min(safe, len(w))},
-        "rich_by_T": is_rich_by_T(table, closed) if closed else None,
-        "inequality2": ineq,
-        "rauzy": rauzy_checks,
-        "returns": {
+        complexity=table.describe(),
+        closure={"closed": closed,
+                 "witness": witness.text if witness else None,
+                 "checked_up_to": min(safe, len(w))},
+        rich_by_T=is_rich_by_T(table, closed) if closed else None,
+        inequality2=ineq,
+        rauzy=rauzy_checks,
+        returns={
             "crw_scan": crw.describe(),
             "unioccurrent_lps_last_violation": lps_scan,
         },
-    }
+    )
     if args.profile_csv:
         _write_text(args.profile_csv, profile.to_csv())
     if args.table_csv:
@@ -236,82 +240,52 @@ def cmd_rauzy(args) -> int:
     return 0
 
 
-def _eq4_samples(coding, theta, rng, count: int = 100) -> dict:
+def _eq4_samples(coding, theta, rng) -> dict:
     b = coding.return_alphabet
     failures = 0
-    for _ in range(count):
+    for _ in range(EQ4_SAMPLES):
         length = rng.randint(0, 6)
         w = Word(b, tuple(rng.randrange(len(b)) for _ in range(length)))
         if not verify_eq4(theta, coding.phi, coding.p, w):
             failures += 1
-    return {"samples": count, "failures": failures}
+    return {"samples": EQ4_SAMPLES, "failures": failures}
 
 
 def cmd_decompose(args) -> int:
-    rng = random.Random(args.seed)
-    if args.method == "theorem3":
-        theta = _parse_theta(args.theta, None)
-        if not args.directive:
-            raise InputError("--method theorem3 needs --directive")
-        d = _parse_directive(args.directive, theta.alphabet)
-        seed_w = Word.from_text(theta.alphabet, args.seed_word or "")
-        try:
-            report = theorem3_pipeline(theta, seed_w, d, scale=args.len)
-        except DecomposeError as exc:
-            _emit(args, {"error": str(exc), "payload": exc.payload,
-                         "schema_version": SCHEMA_VERSION})
-            return 2
-        report["schema_version"] = SCHEMA_VERSION
-        report["tool_version"] = __version__
-        report["seed"] = args.seed
-        _emit(args, report)
-        return 0 if report["ok"] else 2
-
-    w, theta, descriptor = _load_input(args)
     try:
-        if args.method == "path":
-            n = args.n or 1
-            coding = theorem1_decompose(theta, w, n)
+        if args.method == "theorem3":
+            theta = _parse_theta(args.theta, None)
+            if not args.directive:
+                raise InputError("--method theorem3 needs --directive")
+            d = _parse_directive(args.directive, theta.alphabet)
+            seed_w = Word.from_text(theta.alphabet, args.seed_word or "")
+            report = theorem3_pipeline(theta, seed_w, d, scale=args.len)
+            report.update(schema_version=SCHEMA_VERSION,
+                          tool_version=__version__, seed=args.seed)
+        elif args.method == "path":
+            w, theta, descriptor = _load_input(args)
+            coding = theorem1_decompose(theta, w, args.n or 1)
             rich = richness_conditions_check(coding.theta2, coding.v_prefix,
                                              max_factor_len=args.max_factor_len)
-            ok = rich.both
-            report = {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": __version__,
-                "seed": args.seed,
-                "input": descriptor,
-                "antimorphism": theta.describe(),
-                "method": "path",
-                "coding": coding.describe(),
-                "richness_conditions": rich.describe(),
-                "ok": ok,
-            }
-        elif args.method == "return":
+            report = _header(args, descriptor, theta, method="path",
+                             coding=coding.describe(),
+                             richness_conditions=rich.describe(), ok=rich.both)
+        else:
+            w, theta, descriptor = _load_input(args)
             coding = theorem2_decompose(theta, w)
-            eq4 = _eq4_samples(coding, theta, rng)
+            eq4 = _eq4_samples(coding, theta, random.Random(args.seed))
             v_defect = defect(Antimorphism.reversal(coding.v_prefix.alphabet),
                               coding.v_prefix)
-            ok = coding.eq3_ok and eq4["failures"] == 0 and v_defect == 0
-            report = {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": __version__,
-                "seed": args.seed,
-                "input": descriptor,
-                "antimorphism": theta.describe(),
-                "method": "return",
-                "coding": coding.describe(),
-                "eq4": eq4,
-                "derived_defect": v_defect,
-                "ok": ok,
-            }
-        else:
-            raise InputError(f"unknown method {args.method!r}")
+            report = _header(
+                args, descriptor, theta, method="return",
+                coding=coding.describe(), eq4=eq4, derived_defect=v_defect,
+                ok=coding.eq3_ok and eq4["failures"] == 0 and v_defect == 0)
     except DecomposeError as exc:
         _emit(args, {"error": str(exc), "payload": exc.payload,
                      "schema_version": SCHEMA_VERSION})
         return 2
     _emit(args, report)
-    return 0 if ok else 2
+    return 0 if report["ok"] else 2
 
 
 def cmd_generate(args) -> int:

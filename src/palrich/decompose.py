@@ -26,7 +26,6 @@ from .core import (
     apply_morphism,
     occurrences,
     segment_coding,
-    symbols_are_theta_palindrome,
 )
 from .complexity import closed_under_theta, default_safe_length
 from .generators import (
@@ -36,7 +35,7 @@ from .generators import (
     theta_standard_with_seed_source,
 )
 from .palindromes import crw_violation_lengths, defect, pal_prefix_lengths
-from .rauzy import _positions, _special_tuples, special_extensions
+from .rauzy import _positions, _special_tuples
 from .returns import occurrences_alternate
 
 DEFAULT_SAFETY_MARGIN = 2
@@ -358,20 +357,22 @@ def _candidate_prefix_lengths(theta: Antimorphism,
                     if target <= length <= len(prefix) // 4]
 
 
-def _return_coding(theta: Antimorphism, prefix: Word,
-                   p: Word) -> tuple[Optional[ReturnWordCoding], Optional[dict]]:
-    # the coding over the return words of p, or None and why p does not
-    # qualify: fewer than 3 occurrences or a non-palindromic complete return
+def _return_coding(theta: Antimorphism, prefix: Word, p: Word,
+                   occ: list[int]) -> ReturnWordCoding:
+    """The coding of the prefix over the return words of its prefix p, cut
+    at ``occ``, the occurrences of p (at least 3).
+
+    Complete returns are not tested one by one.  For a Theta-palindrome p and
+    a return word q, Theta(qp) = p Theta(q), so the complete return qp is a
+    Theta-palindrome exactly when p Theta(q) = q p, which is equation (3):
+    ``eq3_ok`` is the complete-return check.  The candidates are longer than
+    every palindrome with a non-palindromic complete return
+    (``crw_violation_lengths``), so it holds; were it ever to fail, the
+    reports say ``eq3_ok: false`` and are not ok.
+    """
     sym = prefix.symbols
     m = len(p)
-    occ = occurrences(prefix, p)
-    if len(occ) < 3:
-        return None, {"p": p.text, "reason": "fewer than 3 occurrences"}
     complete, v_sym = segment_coding(sym, occ, m)
-    for cr in complete:
-        if not symbols_are_theta_palindrome(theta.pairing, cr):
-            return None, {"p": p.text,
-                          "violating_return": Word(prefix.alphabet, cr).text}
     b_alpha = Alphabet(tuple(str(i + 1) for i in range(len(complete))))
     ret_words = tuple(Word(prefix.alphabet, cr[:len(cr) - m]) for cr in complete)
     phi = Morphism(b_alpha, prefix.alphabet, ret_words)
@@ -379,52 +380,57 @@ def _return_coding(theta: Antimorphism, prefix: Word,
     covered = apply_morphism(phi, v)
     if covered.symbols != sym[:occ[-1]]:
         raise InvariantError("return-word refactorization mismatch")
-    eq3_ok = all(verify_eq3(theta, p, q) for q in ret_words)
-    coding = ReturnWordCoding(
+    return ReturnWordCoding(
         p=p, return_alphabet=b_alpha, returns=ret_words, phi=phi, v_prefix=v,
         occurrence_indices=tuple(occ), covered_length=occ[-1],
-        tail_length=len(sym) - occ[-1], eq3_ok=eq3_ok)
-    return coding, None
+        tail_length=len(sym) - occ[-1],
+        eq3_ok=all(verify_eq3(theta, p, q) for q in ret_words))
 
 
-def theorem2_decompose(theta: Antimorphism, prefix: Word,
-                       p_hint: Optional[Word] = None) -> ReturnWordCoding:
+def theorem2_decompose(theta: Antimorphism, prefix: Word) -> ReturnWordCoding:
     """Derived-word recoding over the return words of a Theta-palindromic
     prefix p.
 
-    Without a hint, p is the shortest Theta-palindromic prefix whose length
-    clears the empirical complete-return-word threshold (times the safety
-    margin) and whose witnessed complete returns are all Theta-palindromes.
+    p is the shortest Theta-palindromic prefix that occurs at least 3 times
+    and whose length clears the empirical complete-return threshold (times
+    the safety margin); only the first ``MAX_CANDIDATES`` lengths are tried.
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
-    sym = prefix.symbols
-
-    if p_hint is not None:
-        if p_hint.symbols != sym[:len(p_hint)]:
-            raise DecomposeError("p_hint is not a prefix of the word",
-                                 {"p": p_hint.text})
-        if not symbols_are_theta_palindrome(theta.pairing, p_hint.symbols):
-            raise DecomposeError("p_hint is not a Theta-palindrome",
-                                 {"p": p_hint.text})
-        coding, info = _return_coding(theta, prefix, p_hint)
-        if coding is None:
-            raise DecomposeError("hinted p has a non-palindromic complete return "
-                                 "or too few occurrences", info)
-        return coding
-
     target, lengths = _candidate_prefix_lengths(theta, prefix)
-    best_failure: Optional[dict] = None
+    best_candidate: Optional[dict] = None
     for length in lengths[:MAX_CANDIDATES]:
-        coding, best_failure = _return_coding(theta, prefix, prefix.factor(0, length))
-        if coding is not None:
-            return coding
+        p = prefix.factor(0, length)
+        occ = occurrences(prefix, p)
+        if len(occ) >= 3:
+            return _return_coding(theta, prefix, p, occ)
+        best_candidate = {"p": p.text, "reason": "fewer than 3 occurrences"}
     raise DecomposeError(
         "no qualifying Theta-palindromic prefix found",
-        {"empirical_threshold": target, "best_candidate": best_failure})
+        {"empirical_threshold": target, "best_candidate": best_candidate})
 
 
 # --- full pipeline for closure-generated words -------------------------------
+
+def _bispecial_coding(theta: Antimorphism,
+                      u: Word) -> tuple[int, ReturnWordCoding]:
+    # the empirical threshold and the coding over the return words of the
+    # shortest bispecial Theta-palindromic prefix p above it.  p is left
+    # special, so it occurs at 0 and after two different letters: at least
+    # 3 occurrences, as _return_coding needs.
+    target, lengths = _candidate_prefix_lengths(theta, u)
+    sym = u.symbols
+    for length in lengths:
+        p = u.factor(0, length)
+        occ = occurrences(u, p)
+        left = {sym[i - 1] for i in occ[1:]}
+        right = {sym[i + length] for i in occ if i + length < len(sym)}
+        if len(left) >= 2 and len(right) >= 2:
+            return target, _return_coding(theta, u, p, occ)
+    raise DecomposeError(
+        "no bispecial Theta-palindromic prefix above the empirical threshold",
+        {"empirical_threshold": target, "scale": len(u)})
+
 
 def theorem3_pipeline(theta: Antimorphism, seed: Word, d: DirectiveSequence,
                       scale: int) -> dict:
@@ -437,22 +443,7 @@ def theorem3_pipeline(theta: Antimorphism, seed: Word, d: DirectiveSequence,
     the derived prefix.
     """
     src = theta_standard_with_seed_source(theta, seed, d)
-    u = src.prefix(scale)
-
-    target, lengths = _candidate_prefix_lengths(theta, u)
-    sym = u.symbols
-    chosen: Optional[Word] = None
-    for length in lengths:
-        left, right = special_extensions(sym, length)
-        if sym[:length] in left and sym[:length] in right:
-            chosen = u.factor(0, length)
-            break
-    if chosen is None:
-        raise DecomposeError(
-            "no bispecial Theta-palindromic prefix above the empirical threshold",
-            {"empirical_threshold": target, "scale": scale})
-
-    coding = theorem2_decompose(theta, u, p_hint=chosen)
+    target, coding = _bispecial_coding(theta, src.prefix(scale))
     m = coding.m
     size_ok = m <= len(theta.alphabet)
     last_letters = [q.symbols[-1] for q in coding.returns]
@@ -464,7 +455,7 @@ def theorem3_pipeline(theta: Antimorphism, seed: Word, d: DirectiveSequence,
     return {
         "source": src.describe(),
         "scale": scale,
-        "p": chosen.text,
+        "p": coding.p.text,
         "empirical_threshold": target,
         "coding": coding.describe(),
         "checks": {

@@ -2,21 +2,37 @@
 
 Each one computes its answer independently of the shared ``pal_index``:
 either straight from the definition or by the per-letter loop that the
-index-based reader replaced.
+index-based reader replaced.  The theorem 2/3 prefix selections are the
+exception: they take the candidate lengths from the library
+(``decompose._candidate_prefix_lengths``, itself pinned against the
+complete-return scan in ``test_crw_lemma.py``) and replace only how p is
+chosen and coded.
 """
 from typing import Optional
 
 from palrich.core import (
+    Alphabet,
     Antimorphism,
     InputError,
+    InvariantError,
+    Morphism,
     Word,
+    apply_morphism,
     factor_tuples,
     occurrences_symbols,
     segment_coding,
     symbols_are_theta_palindrome,
 )
+from palrich.decompose import (
+    MAX_CANDIDATES,
+    DecomposeError,
+    ReturnWordCoding,
+    _candidate_prefix_lengths,
+    verify_eq3,
+)
 from palrich.generators import DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile, PalIndex
+from palrich.rauzy import special_extensions
 from palrich.returns import CrwReport, CrwViolation, \
     mirror_bounded_palindromicity
 
@@ -124,6 +140,70 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
             worst = max(worst, len(p))
     return CrwReport(checked_factors=checked, violations=tuple(violations),
                      empirical_threshold=worst + 1)
+
+
+def letter_check_return_coding(theta: Antimorphism, prefix: Word, p: Word
+                               ) -> tuple[Optional[ReturnWordCoding], Optional[dict]]:
+    """The coding over the return words of p, or None and why p does not
+    qualify: fewer than 3 occurrences, or a complete return that is not a
+    Theta-palindrome when tested letter by letter."""
+    sym = prefix.symbols
+    m = len(p)
+    occ = occurrences_symbols(sym, p.symbols)
+    if len(occ) < 3:
+        return None, {"p": p.text, "reason": "fewer than 3 occurrences"}
+    complete, v_sym = segment_coding(sym, occ, m)
+    for cr in complete:
+        if not symbols_are_theta_palindrome(theta.pairing, cr):
+            return None, {"p": p.text,
+                          "violating_return": Word(prefix.alphabet, cr).text}
+    b_alpha = Alphabet(tuple(str(i + 1) for i in range(len(complete))))
+    ret_words = tuple(Word(prefix.alphabet, cr[:len(cr) - m]) for cr in complete)
+    phi = Morphism(b_alpha, prefix.alphabet, ret_words)
+    v = Word(b_alpha, tuple(v_sym))
+    if apply_morphism(phi, v).symbols != sym[:occ[-1]]:
+        raise InvariantError("return-word refactorization mismatch")
+    coding = ReturnWordCoding(
+        p=p, return_alphabet=b_alpha, returns=ret_words, phi=phi, v_prefix=v,
+        occurrence_indices=tuple(occ), covered_length=occ[-1],
+        tail_length=len(sym) - occ[-1],
+        eq3_ok=all(verify_eq3(theta, p, q) for q in ret_words))
+    return coding, None
+
+
+def letter_check_theorem2(theta: Antimorphism, prefix: Word) -> ReturnWordCoding:
+    """``theorem2_decompose`` rejecting each candidate p by its occurrence
+    count or by a complete return tested letter by letter."""
+    target, lengths = _candidate_prefix_lengths(theta, prefix)
+    best_failure: Optional[dict] = None
+    for length in lengths[:MAX_CANDIDATES]:
+        coding, best_failure = letter_check_return_coding(
+            theta, prefix, prefix.factor(0, length))
+        if coding is not None:
+            return coding
+    raise DecomposeError(
+        "no qualifying Theta-palindromic prefix found",
+        {"empirical_threshold": target, "best_candidate": best_failure})
+
+
+def special_extensions_theorem3_coding(theta: Antimorphism, u: Word
+                                       ) -> tuple[int, ReturnWordCoding]:
+    """Theorem 3's threshold and coding: the first candidate p that is both
+    left and right special among all length-|p| factors, coded with the
+    letter-by-letter filter."""
+    target, lengths = _candidate_prefix_lengths(theta, u)
+    sym = u.symbols
+    for length in lengths:
+        left, right = special_extensions(sym, length)
+        if sym[:length] in left and sym[:length] in right:
+            coding, info = letter_check_return_coding(theta, u, u.factor(0, length))
+            if coding is None:
+                raise DecomposeError("hinted p has a non-palindromic complete "
+                                     "return or too few occurrences", info)
+            return target, coding
+    raise DecomposeError(
+        "no bispecial Theta-palindromic prefix above the empirical threshold",
+        {"empirical_threshold": target, "scale": len(u)})
 
 
 def factor_loop_condition_i(theta2: Antimorphism, v: Word,

@@ -11,7 +11,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich.core import Alphabet, Antimorphism, Word
+from palrich.core import (
+    Alphabet,
+    Antimorphism,
+    Word,
+    occurrences,
+    symbols_are_theta_palindrome,
+)
 from palrich.decompose import _candidate_prefix_lengths, _return_coding
 from palrich.generators import (
     DirectiveSequence,
@@ -126,12 +132,18 @@ def test_lemma_exhaustively():
 def assert_candidates_have_palindromic_returns(theta: Antimorphism,
                                                word: Word) -> int:
     # every candidate p is longer than the longest violating palindrome, so
-    # _return_coding can only reject it for having too few occurrences
+    # each complete return qp is a Theta-palindrome, tested letter by letter,
+    # and eq3 (p Theta(q) = q p) holds for every return word q
     _target, lengths = _candidate_prefix_lengths(theta, word)
     for length in lengths:
-        coding, info = _return_coding(theta, word, word.factor(0, length))
-        assert coding is not None or info == {
-            "p": word.factor(0, length).text, "reason": "fewer than 3 occurrences"}
+        p = word.factor(0, length)
+        occ = occurrences(word, p)
+        if len(occ) < 3:
+            continue
+        coding = _return_coding(theta, word, p, occ)
+        assert all(symbols_are_theta_palindrome(theta.pairing, q.symbols + p.symbols)
+                   for q in coding.returns)
+        assert coding.eq3_ok
     return len(lengths)
 
 

@@ -12,9 +12,11 @@ from palrich.core import (
     Word,
     apply_antimorphism,
     apply_morphism,
+    occurrences,
 )
 from palrich.decompose import (
     DecomposeError,
+    _return_coding,
     richness_conditions_check,
     theorem1_decompose,
     theorem2_decompose,
@@ -31,7 +33,13 @@ from palrich.generators import (
 )
 from palrich.palindromes import defect
 from palrich.returns import crw_palindromicity_scan
-from conftest import every_involution, random_involution, random_word, w
+from conftest import (
+    brute_is_theta_pal,
+    every_involution,
+    random_involution,
+    random_word,
+    w,
+)
 from oracles import factor_loop_condition_i
 
 
@@ -156,6 +164,23 @@ def test_verify_eq3(ab, tr):
     assert verify_eq3(tr, w(ab, ""), w(ab, "ab")) == (w(ab, "ba") == w(ab, "ab"))
 
 
+def test_eq3_is_the_complete_return_check_exhaustively():
+    # for a Theta-palindrome p, p Theta(q) = q p exactly when qp is a
+    # Theta-palindrome: every p and q over 1 to 3 letters up to length 6
+    pairs, palindromic = 0, 0
+    for k in (1, 2, 3):
+        for theta in every_involution(k):
+            words = [Word(theta.alphabet, sym) for length in range(7)
+                     for sym in itertools.product(range(k), repeat=length)]
+            for p in (p for p in words if brute_is_theta_pal(theta, p)):
+                for q in words:
+                    complete_return_ok = brute_is_theta_pal(theta, q + p)
+                    assert verify_eq3(theta, p, q) == complete_return_ok
+                    pairs += 1
+                    palindromic += complete_return_ok
+    assert (pairs, palindromic) == (265771, 2263)
+
+
 def test_verify_eq4_property(ab, tr):
     fib = fibonacci_source().prefix(4000)
     coding = theorem2_decompose(tr, fib)
@@ -190,21 +215,14 @@ def test_return_coding_fibonacci_frozen(tr, ab):
     assert defect(Antimorphism.reversal(v.alphabet), v) == 0
 
 
-def test_return_coding_hint(tr, ab):
+def test_return_coding_aba(tr, ab):
     fib = fibonacci_source().prefix(4000)
-    coding = theorem2_decompose(tr, fib, p_hint=w(ab, "aba"))
+    p = w(ab, "aba")
+    coding = _return_coding(tr, fib, p, occurrences(fib, p))
     assert tuple(x.text for x in coding.returns) == ("aba", "ab")
     assert coding.eq3_ok
     covered = apply_morphism(coding.phi, coding.v_prefix)
     assert covered.symbols == fib.symbols[:coding.covered_length]
-
-
-def test_return_coding_hint_validation(tr, ab):
-    fib = fibonacci_source().prefix(400)
-    with pytest.raises(DecomposeError):
-        theorem2_decompose(tr, fib, p_hint=w(ab, "ba"))  # not a prefix
-    with pytest.raises(DecomposeError):
-        theorem2_decompose(tr, fib, p_hint=w(ab, "ab"))  # not a palindrome
 
 
 def test_return_coding_exchange_standard(ab):
