@@ -14,9 +14,7 @@ from .core import (
     Word,
     apply_antimorphism,
     apply_morphism,
-    factor_set,
     gamma,
-    is_theta_palindrome,
     occurrences,
 )
 from .palindromes import (
@@ -24,8 +22,6 @@ from .palindromes import (
     PalIndex,
     defect,
     defect_profile,
-    is_rich_finite,
-    longest_theta_pal_suffix,
     theta_pal_closure,
 )
 from .complexity import (

@@ -85,10 +85,17 @@ def _parse_directive(spec: str, alphabet: Alphabet) -> DirectiveSequence:
     """Directive syntax: "pre(period)", "(period)" or just "period"."""
     m = _DIRECTIVE_RE.match(spec)
     pre, period = (m.group(1), m.group(2)) if m else ("", spec)
-    if not period:
-        raise InputError("directive period must be non-empty")
-    return DirectiveSequence(Word.from_text(alphabet, pre),
-                             Word.from_text(alphabet, period))
+    return DirectiveSequence.parse(alphabet, pre, period)
+
+
+def _closure_input(args, needs: str) -> tuple[Antimorphism, Word, DirectiveSequence]:
+    """--theta, --seed-word and --directive of a Theta-closure word;
+    ``needs`` names the option that requires --directive."""
+    theta = _parse_theta(args.theta, None)
+    if not args.directive:
+        raise InputError(f"{needs} needs --directive")
+    d = _parse_directive(args.directive, theta.alphabet)
+    return theta, Word.from_text(theta.alphabet, args.seed_word or ""), d
 
 
 def _load_input(args) -> tuple[Word, Antimorphism, dict]:
@@ -120,14 +127,9 @@ def _load_input(args) -> tuple[Word, Antimorphism, dict]:
         ab = Alphabet(tuple(sorted(set(args.directive) - set("()"))))
         src = episturmian_source(_parse_directive(args.directive, ab))
     elif gen == "theta_standard":
-        theta = _parse_theta(args.theta, None)
-        if not args.directive:
-            raise InputError("--gen theta_standard needs --directive")
-        d = _parse_directive(args.directive, theta.alphabet)
-        seed_w = Word.from_text(theta.alphabet, args.seed_word or "")
-        src = theta_standard_with_seed_source(theta, seed_w, d)
-        w = src.prefix(n)
-        return w, theta, src.describe()
+        src = theta_standard_with_seed_source(
+            *_closure_input(args, "--gen theta_standard"))
+        return src.prefix(n), src.theta, src.describe()
     else:
         raise InputError(f"unknown generator: {gen!r}")
     w = src.prefix(n)
@@ -254,12 +256,8 @@ def _eq4_samples(coding, theta, rng) -> dict:
 def cmd_decompose(args) -> int:
     try:
         if args.method == "theorem3":
-            theta = _parse_theta(args.theta, None)
-            if not args.directive:
-                raise InputError("--method theorem3 needs --directive")
-            d = _parse_directive(args.directive, theta.alphabet)
-            seed_w = Word.from_text(theta.alphabet, args.seed_word or "")
-            report = theorem3_pipeline(theta, seed_w, d, scale=args.len)
+            report = theorem3_pipeline(*_closure_input(args, "--method theorem3"),
+                                       scale=args.len)
             report.update(schema_version=SCHEMA_VERSION,
                           tool_version=__version__, seed=args.seed)
         elif args.method == "path":
@@ -306,8 +304,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--seed-word", default="", help="seed for theta_standard")
     sp.add_argument("--len", type=int, default=2000, help="prefix length to analyze")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
-    sp.add_argument("--safe-divisor", type=int, default=64,
-                    help="safe_length = prefix_length / divisor")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -328,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="full analysis report")
     _add_common(a)
+    a.add_argument("--safe-divisor", type=int, default=64,
+                   help="safe_length = prefix_length / divisor")
     a.add_argument("--max-rauzy-n", type=int, default=12)
     a.add_argument("--profile-csv", help="write the defect profile CSV here")
     a.add_argument("--table-csv", help="write the complexity table CSV here")
@@ -335,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rauzy", help="super reduced Rauzy graph at one length")
     _add_common(r)
+    r.add_argument("--safe-divisor", type=int, default=64,
+                   help="safe_length = prefix_length / divisor")
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--dot", help="write the DOT graph here")
     r.set_defaults(func=cmd_rauzy)
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    for flag, value in (("--len", args.len), ("--safe-divisor", args.safe_divisor),
+    for flag, value in (("--len", args.len),
+                        ("--safe-divisor", getattr(args, "safe_divisor", None)),
                         ("--n", getattr(args, "n", None)),
                         ("--max-factor-len", getattr(args, "max_factor_len", None)),
                         ("--max-rauzy-n", getattr(args, "max_rauzy_n", None))):

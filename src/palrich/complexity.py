@@ -118,12 +118,11 @@ def _factor_counts(theta: Antimorphism, symbols: tuple) -> _FactorCounts:
     alive through the rest of the analysis and raise its peak memory.
     """
     sam = _SuffixAutomaton(symbols)
-    pair = theta.pairing
     # f is a factor iff Theta(f) is a factor of Theta(w), so the shortest
     # factor whose image is absent is as long as the shortest factor of
     # Theta(w) absent from w
     return _FactorCounts(tuple(sam.complexity()),
-                         sam.shortest_absent(pair[x] for x in reversed(symbols)))
+                         sam.shortest_absent(theta.image(symbols)))
 
 
 def default_safe_length(prefix_length: int, divisor: int = DEFAULT_SAFE_DIVISOR) -> int:
@@ -217,7 +216,6 @@ def closed_under_theta(theta: Antimorphism, prefix: Word,
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
-    pair = theta.pairing
     sym = prefix.symbols
     shortest = _factor_counts(theta, sym).shortest_absent
     if shortest is None or shortest > n:
@@ -225,6 +223,6 @@ def closed_under_theta(theta: Antimorphism, prefix: Word,
     # the first failing factor at that length, in the set's iteration order
     facs = factor_tuples(sym, shortest)
     for f in facs:
-        if tuple(pair[x] for x in reversed(f)) not in facs:
+        if theta.image(f) not in facs:
             return False, Word(prefix.alphabet, f)
     raise InvariantError(f"no factor of length {shortest} has an absent Theta-image")

@@ -55,9 +55,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __contains__(self, letter: str) -> bool:
-        return letter in self._index
-
 
 @dataclass(frozen=True)
 class Antimorphism:
@@ -103,6 +100,11 @@ class Antimorphism:
             missing = [t for i, t in enumerate(alphabet.letters) if i not in mapping]
             raise InputError(f"letters missing from pairing: {missing}")
         return cls(alphabet, tuple(mapping[i] for i in range(len(alphabet))))
+
+    def image(self, symbols) -> tuple:
+        """Theta of a symbol sequence: reversed, each letter paired."""
+        pair = self.pairing
+        return tuple(pair[x] for x in reversed(symbols))
 
     def describe(self) -> dict:
         return {
@@ -175,13 +177,7 @@ def _check_same(theta_or_word, w: Word) -> None:
 def apply_antimorphism(theta: Antimorphism, w: Word) -> Word:
     """Reverse w and replace each letter by its pairing image."""
     _check_same(theta, w)
-    pair = theta.pairing
-    return Word(w.alphabet, tuple(pair[s] for s in reversed(w.symbols)))
-
-
-def is_theta_palindrome(theta: Antimorphism, w: Word) -> bool:
-    _check_same(theta, w)
-    return symbols_are_theta_palindrome(theta.pairing, w.symbols)
+    return Word(w.alphabet, theta.image(w.symbols))
 
 
 def symbols_are_theta_palindrome(pairing, symbols) -> bool:
@@ -263,13 +259,6 @@ def segment_coding(symbols, starts, tail: int) -> tuple[list[tuple], list[int]]:
             segments.append(seg)
         coding.append(k)
     return segments, coding
-
-
-def factor_set(w: Word, n: int) -> set[Word]:
-    """Distinct length-n factors of w."""
-    if not 0 <= n <= len(w):
-        raise InputError(f"factor length {n} out of range for |w|={len(w)}")
-    return {Word(w.alphabet, t) for t in factor_tuples(w.symbols, n)}
 
 
 def factor_tuples(symbols, n: int) -> set[tuple]:

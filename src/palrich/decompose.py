@@ -35,12 +35,11 @@ from .generators import (
     theta_standard_with_seed_source,
 )
 from .palindromes import crw_violation_lengths, defect, pal_prefix_lengths
-from .rauzy import _positions, _special_tuples
+from .rauzy import factor_extensions, simple_path_cut
 from .returns import occurrences_alternate
 
 DEFAULT_SAFETY_MARGIN = 2
 SEARCH_BUDGET = 64      # coding lengths tried past n by theorem1_decompose
-MAX_CANDIDATES = 16     # palindromic prefixes tried by theorem2_decompose
 REPORTED_WITNESSES = 8  # condition (i) witnesses kept in the report
 
 
@@ -123,8 +122,13 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
 
     The coding length is bumped to the smallest n' >= n whose length-n'
     prefix is special (so the coding starts at position 0); eventually
-    periodic inputs take the unary branch.  Requires the factor set to be
-    closed under Theta at the chosen length.
+    periodic inputs take the unary branch.  Whether that prefix is special
+    is read from its own occurrences, so the special factors are listed at
+    n and at the chosen length only.  The search need not stop at a length
+    without special factors: a left (right) special factor has a left
+    (right) special prefix (suffix) one letter shorter, so no greater
+    length has any either.  Requires the factor set to be closed under
+    Theta at the chosen length.
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
@@ -132,22 +136,21 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
         raise InputError(f"coding length {n} unreasonable for |prefix|={len(prefix)}")
 
     sym = prefix.symbols
-    specials = _special_tuples(sym, n)
+    specials, positions, (paths, v_sym) = simple_path_cut(sym, n)
     if not specials:
         return _periodic_coding(theta, prefix, n)
 
-    chosen: Optional[int] = None
-    for cand in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
-        sp = specials if cand == n else _special_tuples(sym, cand)
-        if not sp:
-            break
-        if sym[:cand] in sp:
-            chosen, specials = cand, sp
-            break
     flags: dict = {}
-    if chosen is None:
+    for chosen in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
+        occ = occurrences(prefix, prefix.factor(0, chosen))
+        left, right = factor_extensions(sym, occ, chosen)
+        if len(left) >= 2 or len(right) >= 2:
+            break
+    else:
         chosen = n
         flags["aligned_at_first_special"] = True
+    if chosen != n:
+        specials, positions, (paths, v_sym) = simple_path_cut(sym, chosen)
 
     closed, witness = closed_under_theta(theta, prefix, chosen)
     if not closed:
@@ -155,19 +158,16 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
             "factor set is not closed under Theta at the coding length",
             {"n": chosen, "witness": witness.text if witness else None})
 
-    positions = _positions(sym, chosen, specials)
     if len(positions) < 2:
         raise DecomposeError("fewer than two special-factor occurrences witnessed",
                              {"n": chosen})
     if positions[0] != 0:
         flags["aligned_at"] = positions[0]
 
-    pair = theta.pairing
-    paths, v_sym = segment_coding(sym, positions, chosen)
     letter_of = {e: k for k, e in enumerate(paths)}
     pairing = []
     for e in paths:
-        te = tuple(pair[x] for x in reversed(e))
+        te = theta.image(e)
         if te not in letter_of:
             raise DecomposeError(
                 "Theta-image of a simple path not witnessed; prefix too short",
@@ -227,14 +227,12 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
     # Occurrences of w and Theta(w) share the class min(w, Theta(w)), so one
     # sweep per length sees each pair of consecutive marks of a class; it is
     # a minimal segment for w exactly when the later mark is Theta(w).
-    pair = theta2.pairing
     if v_prefix._bytes is None:
         seq = v_prefix.symbols
-
-        def image(f):
-            return tuple(pair[x] for x in reversed(f))
+        image = theta2.image
     else:
         seq = v_prefix._bytes
+        pair = theta2.pairing
         table = bytes(pair) + bytes(range(len(pair), 256))
 
         def image(f):
@@ -393,18 +391,23 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word) -> ReturnWordCoding:
 
     p is the shortest Theta-palindromic prefix that occurs at least 3 times
     and whose length clears the empirical complete-return threshold (times
-    the safety margin); only the first ``MAX_CANDIDATES`` lengths are tried.
+    the safety margin).  Only the shortest candidate can qualify.  A longer
+    candidate P has it as a prefix, so it fails whenever the shortest does.
+    And P = p s gives P = Theta(P) = Theta(s) p, so P ends with p: with
+    three candidates, p occurs at 0 and at the end of the two longer ones,
+    3 times.  A failure thus has at most two candidates.
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
     target, lengths = _candidate_prefix_lengths(theta, prefix)
     best_candidate: Optional[dict] = None
-    for length in lengths[:MAX_CANDIDATES]:
-        p = prefix.factor(0, length)
+    if lengths:
+        p = prefix.factor(0, lengths[0])
         occ = occurrences(prefix, p)
         if len(occ) >= 3:
             return _return_coding(theta, prefix, p, occ)
-        best_candidate = {"p": p.text, "reason": "fewer than 3 occurrences"}
+        best_candidate = {"p": prefix.factor(0, lengths[-1]).text,
+                          "reason": "fewer than 3 occurrences"}
     raise DecomposeError(
         "no qualifying Theta-palindromic prefix found",
         {"empirical_threshold": target, "best_candidate": best_candidate})
@@ -419,12 +422,10 @@ def _bispecial_coding(theta: Antimorphism,
     # special, so it occurs at 0 and after two different letters: at least
     # 3 occurrences, as _return_coding needs.
     target, lengths = _candidate_prefix_lengths(theta, u)
-    sym = u.symbols
     for length in lengths:
         p = u.factor(0, length)
         occ = occurrences(u, p)
-        left = {sym[i - 1] for i in occ[1:]}
-        right = {sym[i + length] for i in occ if i + length < len(sym)}
+        left, right = factor_extensions(u.symbols, occ, length)
         if len(left) >= 2 and len(right) >= 2:
             return target, _return_coding(theta, u, p, occ)
     raise DecomposeError(

@@ -126,8 +126,6 @@ class ClosureSource(WordSource):
         self._pal_prefixes += [k for k in pal_prefix_lengths(theta, seed.symbols)
                                if k < len(self._buf)]
         self._steps = 0
-        self.construction_log: list[dict] = [
-            {"step": 0, "letter": None, "length": len(self._buf)}]
 
     def _grow_to(self, n: int) -> None:
         buf = self._buf
@@ -146,11 +144,6 @@ class ClosureSource(WordSource):
                 buf.extend((a,) if self._pair[a] == a else (a, self._pair[a]))
                 buf.extend(buf[:k])
             self._pal_prefixes.append(k)
-            self.construction_log.append({
-                "step": self._steps,
-                "letter": self.alphabet.letters[a],
-                "length": len(buf),
-            })
 
     def prefix(self, n: int) -> Word:
         _check_length(n)

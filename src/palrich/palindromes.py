@@ -61,11 +61,6 @@ class PalIndex:
     def lps_length(self) -> int:
         return self._last.length
 
-    def lps_word(self) -> Word:
-        sym = self._sym
-        return Word(self.theta.alphabet,
-                    tuple(sym[len(sym) - self._last.length:]))
-
     def palindrome_spans(self) -> list[tuple[int, int]]:
         """(start, length) of the first occurrence of each distinct non-empty
         Theta-palindromic factor seen, in order of that occurrence's end."""
@@ -122,7 +117,6 @@ class PalIndex:
 class DefectProfile:
     """Per-prefix defect values d_0..d_|w| with the matching gamma/pal counts."""
 
-    word: Word
     values: tuple[int, ...]
     gammas: tuple[int, ...]
     pal_counts: tuple[int, ...]
@@ -197,13 +191,8 @@ def defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
         gammas.append(len(classes))
         pals.append(pals[-1] + first_ends[k])
         values.append(k + 1 - gammas[-1] - pals[-1])
-    return DefectProfile(word=w, values=tuple(values), gammas=tuple(gammas),
+    return DefectProfile(values=tuple(values), gammas=tuple(gammas),
                          pal_counts=tuple(pals))
-
-
-def longest_theta_pal_suffix(theta: Antimorphism, w: Word) -> Word:
-    _check_same(theta, w)
-    return pal_index(theta, w.symbols).lps_word()
 
 
 def theta_pal_closure(theta: Antimorphism, w: Word) -> Word:
@@ -214,10 +203,4 @@ def theta_pal_closure(theta: Antimorphism, w: Word) -> Word:
     """
     _check_same(theta, w)
     p_len = len(w) - pal_index(theta, w.symbols).lps_length
-    pair = theta.pairing
-    tail = tuple(pair[x] for x in reversed(w.symbols[:p_len]))
-    return Word(w.alphabet, w.symbols + tail)
-
-
-def is_rich_finite(theta: Antimorphism, w: Word) -> bool:
-    return defect(theta, w) == 0
+    return Word(w.alphabet, w.symbols + theta.image(w.symbols[:p_len]))

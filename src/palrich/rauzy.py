@@ -45,6 +45,15 @@ def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
             {w: ext for w, ext in right.items() if len(ext) >= 2})
 
 
+def factor_extensions(sym: tuple, occ, m: int) -> tuple[set, set]:
+    """The letters before and after the occurrences ``occ`` of one length-m
+    factor of ``sym``: ``special_extensions``' rule read from one occurrence
+    list, so the factor is left (right) special when the first (second) set
+    has two letters."""
+    return ({sym[i - 1] for i in occ if i > 0},
+            {sym[i + m] for i in occ if i + m < len(sym)})
+
+
 def special_factors(prefix: Word, n: int) -> SpecialFactors:
     """Exact LS/RS sets of the prefix at length n (extension count >= 2)."""
     if not 0 <= n <= len(prefix):
@@ -55,17 +64,17 @@ def special_factors(prefix: Word, n: int) -> SpecialFactors:
                           right_special=frozenset(Word(ab, w) for w in right))
 
 
-def _positions(sym: tuple, n: int, factors) -> list[int]:
-    return [i for i in range(len(sym) - n + 1) if sym[i:i + n] in factors]
-
-
-def _special_tuples(sym: tuple, n: int) -> set[tuple]:
-    """The LS-or-RS factors of length n, as tuples: ``special_factors``
-    without the ``Word``s."""
+def simple_path_cut(sym: tuple, n: int
+                    ) -> tuple[set[tuple], list[int], tuple[list[tuple], list[int]]]:
+    """The LS-or-RS factors of length n (as tuples), their occurrences in
+    ``sym``, and ``segment_coding``'s cut there: the distinct n-simple paths
+    and the coding of ``sym`` over them."""
     if not 0 <= n <= len(sym):
         raise InputError(f"length {n} out of range")
     left, right = special_extensions(sym, n)
-    return left.keys() | right.keys()
+    specials = left.keys() | right.keys()
+    positions = [i for i in range(len(sym) - n + 1) if sym[i:i + n] in specials]
+    return specials, positions, segment_coding(sym, positions, n)
 
 
 def _canon_pair(x: tuple, y: tuple) -> tuple[tuple, tuple]:
@@ -128,18 +137,12 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
-    pair = theta.pairing
-
-    def timage(sym: tuple) -> tuple:
-        return tuple(pair[x] for x in reversed(sym))
-
-    sym = prefix.symbols
-    specials = _special_tuples(sym, n)
-    positions = _positions(sym, n, specials)
+    timage = theta.image
+    specials, _, (paths, _) = simple_path_cut(prefix.symbols, n)
     vertices = frozenset(_canon_pair(w, timage(w)) for w in specials)
     edges: list[GraphEdge] = []
     seen: set[tuple] = set()
-    for e in segment_coding(sym, positions, n)[0]:
+    for e in paths:
         te = timage(e)
         key = _canon_pair(e, te)
         if key in seen:

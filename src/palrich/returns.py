@@ -58,8 +58,7 @@ def occurrences_alternate(theta: Antimorphism, prefix: Word,
     """
     if theta.alphabet != prefix.alphabet or w.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
-    pair = theta.pairing
-    tw = tuple(pair[x] for x in reversed(w.symbols))
+    tw = theta.image(w.symbols)
     if tw == w.symbols:
         return True, None
     occ_w = occurrences(prefix, w)
@@ -83,7 +82,7 @@ def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
     pair = theta.pairing
     sym = prefix.symbols
     m = len(w)
-    tw = tuple(pair[x] for x in reversed(w.symbols))
+    tw = theta.image(w.symbols)
     occ_w = occurrences(prefix, w)
     occ_t = occurrences(prefix, Word(prefix.alphabet, tw)) if tw != w.symbols else occ_w
     set_w, set_t = set(occ_w), set(occ_t)

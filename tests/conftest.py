@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from palrich.core import Alphabet, Antimorphism, Word
+from palrich.core import Alphabet, Antimorphism, InputError, Word, factor_tuples
+from palrich.palindromes import PalIndex, defect, theta_pal_closure
 
 
 @pytest.fixture
@@ -37,6 +38,28 @@ def brute_lps(theta: Antimorphism, word: Word) -> Word:
         if brute_is_theta_pal(theta, suf):
             return suf
     raise AssertionError("epsilon is always a palindrome")
+
+
+def factor_set(w: Word, n: int) -> set:
+    """Distinct length-n factors of w, as words."""
+    if not 0 <= n <= len(w):
+        raise InputError(f"factor length {n} out of range for |w|={len(w)}")
+    return {Word(w.alphabet, t) for t in factor_tuples(w.symbols, n)}
+
+
+def is_rich_finite(theta: Antimorphism, word: Word) -> bool:
+    return defect(theta, word) == 0
+
+
+def longest_theta_pal_suffix(theta: Antimorphism, word: Word) -> Word:
+    # the closure is word Theta(p), where word = p s and s is the lps
+    p_len = len(theta_pal_closure(theta, word)) - len(word)
+    return word.factor(p_len, len(word))
+
+
+def lps_word(idx: PalIndex, word: Word) -> Word:
+    """The lps of ``word``, whose letters are all that ``idx`` was given."""
+    return word.factor(len(word) - idx.lps_length, len(word))
 
 
 def brute_occurrences(word: Word, f: Word) -> list:

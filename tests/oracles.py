@@ -6,7 +6,8 @@ index-based reader replaced.  The theorem 2/3 prefix selections are the
 exception: they take the candidate lengths from the library
 (``decompose._candidate_prefix_lengths``, itself pinned against the
 complete-return scan in ``test_crw_lemma.py``) and replace only how p is
-chosen and coded.
+chosen and coded.  The theorem 1 selection lists the special factors of
+every length it tries.
 """
 from typing import Optional
 
@@ -23,11 +24,14 @@ from palrich.core import (
     segment_coding,
     symbols_are_theta_palindrome,
 )
+from palrich.complexity import closed_under_theta
 from palrich.decompose import (
-    MAX_CANDIDATES,
+    SEARCH_BUDGET,
     DecomposeError,
     ReturnWordCoding,
+    SimplePathCoding,
     _candidate_prefix_lengths,
+    _periodic_coding,
     verify_eq3,
 )
 from palrich.generators import DirectiveSequence, WordSource
@@ -35,6 +39,8 @@ from palrich.palindromes import DefectProfile, PalIndex
 from palrich.rauzy import special_extensions
 from palrich.returns import CrwReport, CrwViolation, \
     mirror_bounded_palindromicity
+
+MAX_CANDIDATES = 16     # palindromic prefixes tried by letter_check_theorem2
 
 
 def distinct_theta_palindromes_naive(theta: Antimorphism, w: Word) -> set[Word]:
@@ -206,6 +212,75 @@ def special_extensions_theorem3_coding(theta: Antimorphism, u: Word
         {"empirical_threshold": target, "scale": len(u)})
 
 
+def _special_tuples(sym: tuple, n: int) -> set[tuple]:
+    left, right = special_extensions(sym, n)
+    return left.keys() | right.keys()
+
+
+def per_length_theorem1(theta: Antimorphism, prefix: Word,
+                        n: int) -> SimplePathCoding:
+    """``theorem1_decompose`` listing the special factors of each length from
+    n on until the prefix of that length is one of them, and stopping at a
+    length with none."""
+    if theta.alphabet != prefix.alphabet:
+        raise InputError("alphabet mismatch")
+    if not 1 <= n <= len(prefix) // 4:
+        raise InputError(f"coding length {n} unreasonable for |prefix|={len(prefix)}")
+    sym = prefix.symbols
+    specials = _special_tuples(sym, n)
+    if not specials:
+        return _periodic_coding(theta, prefix, n)
+    chosen: Optional[int] = None
+    for cand in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
+        sp = specials if cand == n else _special_tuples(sym, cand)
+        if not sp:
+            break
+        if sym[:cand] in sp:
+            chosen, specials = cand, sp
+            break
+    flags: dict = {}
+    if chosen is None:
+        chosen = n
+        flags["aligned_at_first_special"] = True
+    closed, witness = closed_under_theta(theta, prefix, chosen)
+    if not closed:
+        raise DecomposeError(
+            "factor set is not closed under Theta at the coding length",
+            {"n": chosen, "witness": witness.text if witness else None})
+    positions = [i for i in range(len(sym) - chosen + 1)
+                 if sym[i:i + chosen] in specials]
+    if len(positions) < 2:
+        raise DecomposeError("fewer than two special-factor occurrences witnessed",
+                             {"n": chosen})
+    if positions[0] != 0:
+        flags["aligned_at"] = positions[0]
+    pair = theta.pairing
+    paths, v_sym = segment_coding(sym, positions, chosen)
+    letter_of = {e: k for k, e in enumerate(paths)}
+    pairing = []
+    for e in paths:
+        te = tuple(pair[x] for x in reversed(e))
+        if te not in letter_of:
+            raise DecomposeError(
+                "Theta-image of a simple path not witnessed; prefix too short",
+                {"n": chosen, "path": Word(prefix.alphabet, e).text})
+        pairing.append(letter_of[te])
+    b_alpha = Alphabet(tuple(f"[{k}]" for k in range(len(paths))))
+    images = tuple(Word(prefix.alphabet, e[:len(e) - chosen]) for e in paths)
+    phi = Morphism(b_alpha, prefix.alphabet, images)
+    v = Word(b_alpha, tuple(v_sym))
+    if apply_morphism(phi, v).symbols != sym[positions[0]:positions[-1]]:
+        raise InvariantError("simple-path refactorization mismatch")
+    return SimplePathCoding(
+        n=chosen, requested_n=n, path_alphabet=b_alpha,
+        theta2=Antimorphism(b_alpha, tuple(pairing)), v_prefix=v, phi=phi,
+        path_table={b_alpha.letters[k]: Word(prefix.alphabet, e)
+                    for k, e in enumerate(paths)},
+        occurrence_indices=tuple(positions),
+        covered_start=positions[0], covered_end=positions[-1],
+        tail_length=len(sym) - positions[-1], flags=flags)
+
+
 def factor_loop_condition_i(theta2: Antimorphism, v: Word,
                             max_factor_len: int) -> list[Word]:
     """Every condition (i) witness of ``richness_conditions_check``:
@@ -278,7 +353,7 @@ def append_loop_defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
         gammas.append(len(met))
         pals.append(idx.pal_count)
         values.append(k + 1 - len(met) - idx.pal_count)
-    return DefectProfile(word=w, values=tuple(values), gammas=tuple(gammas),
+    return DefectProfile(values=tuple(values), gammas=tuple(gammas),
                          pal_counts=tuple(pals))
 
 
@@ -296,10 +371,9 @@ class AppendLoopClosureSource(WordSource):
         self._idx = PalIndex(theta)
         self._buf: list[int] = []
         self._steps = 0
-        self.construction_log: list[dict] = []
-        self._close(list(seed.symbols), step=0, letter=None)
+        self._close(list(seed.symbols))
 
-    def _close(self, extra: list[int], step: int, letter: Optional[int]) -> None:
+    def _close(self, extra: list[int]) -> None:
         for s in extra:
             self._idx.append(s)
             self._buf.append(s)
@@ -308,15 +382,9 @@ class AppendLoopClosureSource(WordSource):
             t = self._pair[x]
             self._idx.append(t)
             self._buf.append(t)
-        self.construction_log.append({
-            "step": step,
-            "letter": None if letter is None else self.alphabet.letters[letter],
-            "length": len(self._buf),
-        })
 
     def prefix(self, n: int) -> Word:
         while len(self._buf) < n:
             self._steps += 1
-            letter = self.directive.letter(self._steps - 1)
-            self._close([letter], step=self._steps, letter=letter)
+            self._close([self.directive.letter(self._steps - 1)])
         return Word(self.alphabet, tuple(self._buf[:n]))

@@ -14,7 +14,6 @@ from palrich.core import (
     Antimorphism,
     Word,
     apply_morphism,
-    factor_set,
     gamma,
 )
 from palrich.cli import main as cli_main
@@ -44,11 +43,10 @@ from palrich.palindromes import (
     PalIndex,
     defect,
     defect_profile,
-    is_rich_finite,
 )
 from palrich.rauzy import build_graph, check_proposition1
 from palrich.returns import unioccurrent_lps_scan
-from conftest import random_involution, random_word
+from conftest import factor_set, is_rich_finite, random_involution, random_word
 from oracles import count_theta_palindromes_expand
 
 

@@ -168,6 +168,20 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["decompose", "--method", "path"],
+    ["generate"],
+], ids=["decompose", "generate"])
+def test_safe_divisor_only_on_analyze_and_rauzy(capsys, command):
+    # decompose and generate never read it, so they do not accept it
+    code, err = run_error(capsys, *command, "--gen", "fibonacci", "--len", "100",
+                          "--safe-divisor", "4")
+    assert code == 1 and "unrecognized arguments: --safe-divisor 4" in err
+    code, _, _ = run(capsys, "rauzy", "--gen", "fibonacci", "--len", "100",
+                     "--n", "1", "--safe-divisor", "4")
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
 def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -15,14 +15,13 @@ from palrich.core import (
     antimorphism_from_config,
     apply_antimorphism,
     apply_morphism,
-    factor_set,
     gamma,
-    is_theta_palindrome,
     occurrences,
     segment_coding,
+    symbols_are_theta_palindrome,
 )
-from conftest import brute_occurrences, inline_segments, random_involution, \
-    random_word, w
+from conftest import brute_occurrences, factor_set, inline_segments, \
+    random_involution, random_word, w
 
 
 def test_alphabet_validation():
@@ -59,9 +58,9 @@ def test_alphabet_mismatch_rejected(tr):
 
 
 def test_is_theta_palindrome(ab, tr, swap):
-    assert is_theta_palindrome(tr, w(ab, "aba"))
-    assert not is_theta_palindrome(swap, w(ab, "a"))
-    assert is_theta_palindrome(swap, w(ab, "abab"))
+    assert symbols_are_theta_palindrome(tr.pairing, w(ab, "aba").symbols)
+    assert not symbols_are_theta_palindrome(swap.pairing, w(ab, "a").symbols)
+    assert symbols_are_theta_palindrome(swap.pairing, w(ab, "abab").symbols)
 
 
 def test_apply_morphism():
@@ -139,7 +138,8 @@ def test_theta_w_w_is_palindrome(data):
     rng = data.draw(st.randoms(use_true_random=False))
     theta = random_involution(rng, data.draw(st.integers(1, 3)))
     word = random_word(rng, theta, data.draw(st.integers(0, 12)))
-    assert is_theta_palindrome(theta, apply_antimorphism(theta, word) + word)
+    assert symbols_are_theta_palindrome(
+        theta.pairing, (apply_antimorphism(theta, word) + word).symbols)
 
 
 @given(st.data())

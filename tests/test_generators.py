@@ -56,28 +56,23 @@ def test_tribonacci_matches_manual_closure():
     abc = Alphabet(("a", "b", "c"))
     tr = Antimorphism.reversal(abc)
     word = Word(abc, ())
-    directive = "abcabcabc"
-    lengths = []
-    for letter in directive:
-        word = theta_pal_closure(tr, word + Word.from_text(abc, letter))
-        lengths.append(len(word))
     src = tribonacci_source()
-    assert src.prefix(lengths[-1]) == word
-    log_lengths = [e["length"] for e in src.construction_log[1:len(directive) + 1]]
-    assert log_lengths == lengths
+    for letter in "abcabcabc":
+        word = theta_pal_closure(tr, word + Word.from_text(abc, letter))
+        assert src.prefix(len(word)) == word
 
 
 def test_closure_steps_are_nested(ab):
     swap = Antimorphism.from_pairs(ab, [("a", "b")])
-    src = theta_standard_with_seed_source(
-        swap, Word(ab, ()), DirectiveSequence.parse(ab, "", "ab"))
-    word = src.prefix(200)
-    for entry in src.construction_log:
-        m = entry["length"]
-        if m <= 200:
-            # each construction step is a Theta-palindromic prefix
-            step = word.factor(0, m)
-            assert theta_pal_closure(swap, step) == step
+    d = DirectiveSequence.parse(ab, "", "ab")
+    word = theta_standard_with_seed_source(swap, Word(ab, ()), d).prefix(200)
+    step, k = theta_pal_closure(swap, Word(ab, ())), 0
+    while len(step) <= 200:
+        # each construction step is a Theta-palindromic prefix
+        assert word.factor(0, len(step)) == step
+        assert theta_pal_closure(swap, step) == step
+        step = theta_pal_closure(swap, step + Word(ab, (d.letter(k),)))
+        k += 1
 
 
 def test_theta_standard_with_seed_frozen(ab):
@@ -160,7 +155,6 @@ def assert_closure_matches_oracle(theta, seed, d, m, m2):
     ref = AppendLoopClosureSource(theta, seed, d)
     for n in (m, m2):
         assert src.prefix(n) == ref.prefix(n)
-    assert src.construction_log == ref.construction_log
 
 
 @settings(max_examples=300, deadline=None)

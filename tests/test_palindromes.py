@@ -10,12 +10,10 @@ from palrich.palindromes import (
     PalIndex,
     defect,
     defect_profile,
-    is_rich_finite,
-    longest_theta_pal_suffix,
     theta_pal_closure,
 )
-from conftest import brute_is_theta_pal, brute_lps, random_involution, \
-    random_word, w
+from conftest import brute_is_theta_pal, brute_lps, is_rich_finite, \
+    longest_theta_pal_suffix, lps_word, random_involution, random_word, w
 from oracles import count_theta_palindromes_expand, \
     distinct_theta_palindromes_naive, occurrence_count
 
@@ -54,7 +52,7 @@ def test_pal_index_append_reports(ab, tr, swap):
     assert idx.append(ab.index("a")) is None
     assert idx.pal_count == before + 1
     assert idx.lps_length == 3
-    assert idx.lps_word().text == "aba"
+    assert lps_word(idx, w(ab, "aba")).text == "aba"
 
     idx = PalIndex(swap)
     idx.append(ab.index("a"))
@@ -62,7 +60,7 @@ def test_pal_index_append_reports(ab, tr, swap):
     idx.append(ab.index("b"))
     assert idx.pal_count == before + 1
     assert idx.lps_length == 2
-    assert idx.lps_word().text == "ab"
+    assert lps_word(idx, w(ab, "ab")).text == "ab"
 
     idx = PalIndex(swap)
     idx.append(ab.index("a"))
@@ -96,7 +94,7 @@ def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
                         assert only == brute_lps(theta, prefix)
                     else:
                         assert idx.pal_count == before
-                    assert idx.lps_word() == brute_lps(theta, prefix)
+                    assert lps_word(idx, prefix) == brute_lps(theta, prefix)
                     seen = oracle
 
 
@@ -124,7 +122,8 @@ def test_pal_index_unioccurrence_against_occurrence_count(ab, tr, swap):
                 before = idx.pal_count
                 idx.append(s)
                 if idx.lps_length > 0:
-                    uni = occurrence_count(word.factor(0, k), idx.lps_word()) == 1
+                    prefix = word.factor(0, k)
+                    uni = occurrence_count(prefix, lps_word(idx, prefix)) == 1
                     assert (idx.pal_count == before + 1) == uni
 
 

@@ -1,8 +1,8 @@
 """Theorems 2 and 3 choose p from its occurrence list alone.
 
-The library codes the first candidate with enough occurrences (theorem 2)
-or the first bispecial one (theorem 3) and lets eq3 stand for the
-complete-return check.  The oracles filter every complete return letter by
+The library codes the shortest candidate if it has enough occurrences
+(theorem 2) or the first bispecial one (theorem 3) and lets eq3 stand for
+the complete-return check.  The oracles filter every complete return letter by
 letter and find bispecial factors among all factors of the length; the
 reports and the errors must agree.
 """
@@ -10,8 +10,14 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from palrich.core import Word
-from palrich.decompose import DecomposeError, _bispecial_coding, theorem2_decompose
+import palrich.decompose
+from palrich.core import Word, occurrences
+from palrich.decompose import (
+    DecomposeError,
+    _bispecial_coding,
+    _candidate_prefix_lengths,
+    theorem2_decompose,
+)
 from palrich.generators import DirectiveSequence, theta_standard_with_seed_source
 from conftest import every_involution, random_involution, random_word
 from oracles import letter_check_theorem2, special_extensions_theorem3_coding
@@ -61,16 +67,53 @@ def test_selection_matches_oracle_on_corpus():
     assert "fibonacci" in coded and "thue_morse" not in coded
 
 
-def test_selection_matches_oracle_exhaustively():
+def exhaustive_words():
     # every word over 1, 2 and 3 letters up to 12, 13 and 8 letters, under
     # every involution
-    words, coded = 0, [0, 0]
     for k, top in ((1, 12), (2, 13), (3, 8)):
         for theta in every_involution(k):
             for length in range(top + 1):
                 for sym in itertools.product(range(k), repeat=length):
-                    words += 1
-                    found = assert_same_selection(theta, Word(theta.alphabet, sym))
-                    coded = [c + f for c, f in zip(coded, found)]
+                    yield theta, Word(theta.alphabet, sym)
+
+
+def test_selection_matches_oracle_exhaustively():
+    words, coded = 0, [0, 0]
+    for theta, word in exhaustive_words():
+        words += 1
+        found = assert_same_selection(theta, word)
+        coded = [c + f for c, f in zip(coded, found)]
     assert words == 72143   # 72136 non-empty words and 7 empty ones
     assert coded == [17313, 14850]
+
+
+def test_shortest_candidate_occurs_three_times_exhaustively():
+    # a longer candidate is a Theta-palindrome with the shortest one as a
+    # prefix, so it ends with it too: three candidates give three occurrences
+    many = 0
+    for theta, word in exhaustive_words():
+        lengths = _candidate_prefix_lengths(theta, word)[1]
+        if len(lengths) >= 3:
+            many += 1
+            assert len(occurrences(word, word.factor(0, lengths[0]))) >= 3
+    assert many == 2377
+
+
+def test_theorem2_calls_occurrences_at_most_once(monkeypatch):
+    real = palrich.decompose.occurrences
+    calls: list[int] = []
+
+    def counted(w, f):
+        calls.append(len(f))
+        return real(w, f)
+
+    monkeypatch.setattr(palrich.decompose, "occurrences", counted)
+    # the short words with two candidates: when the first one fails, the
+    # second is not looked up
+    failed = 0
+    for theta, word in exhaustive_words():
+        if len(_candidate_prefix_lengths(theta, word)[1]) == 2:
+            calls.clear()
+            failed += outcome(theorem2_decompose, theta, word)[0] == "error"
+            assert len(calls) == 1
+    assert failed == 346
