@@ -79,6 +79,25 @@ class _SuffixAutomaton:
             diff[length[v] + 1] -= 1
         return [1, *accumulate(diff[1:-1])]
 
+    def special_valences(self, max_len: int) -> tuple[list[Counter], list[Counter]]:
+        """Valence -> count of the left and of the right special factors of
+        each length 0..max_len.  A state's factors share their end positions,
+        hence their right extensions, its transitions.  One shorter than the
+        state's longest always has the same letter on its left; the longest,
+        w, has a left extension a per state linked to it, whose shortest
+        factor is aw.  Right special factors number at most C(max_len + 1)."""
+        length, link, nxt = self.length, self.link, self.next
+        children = Counter(link[1:])
+        left = [Counter() for _ in range(max_len + 1)]
+        right = [Counter() for _ in range(max_len + 1)]
+        for v in range(1, len(length)):
+            if children[v] >= 2 and length[v] <= max_len:
+                left[length[v]][children[v]] += 1
+            if len(nxt[v]) >= 2:
+                for n in range(length[link[v]] + 1, min(length[v], max_len) + 1):
+                    right[n][len(nxt[v])] += 1
+        return left, right
+
     def shortest_absent(self, symbols) -> Optional[int]:
         """Length of the shortest factor of ``symbols`` that is not a factor
         of the indexed word, or None if there is none.

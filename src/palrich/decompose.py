@@ -34,7 +34,8 @@ from .generators import (
     arnoux_rauzy_check,
     theta_standard_with_seed_source,
 )
-from .palindromes import crw_violation_lengths, defect, pal_prefix_lengths
+from .palindromes import (crw_violation_lengths, defect, pal_prefix_lengths,
+                          theta_pal_radii)
 from .rauzy import factor_extensions, simple_path_cut
 from .returns import occurrences_alternate
 
@@ -237,26 +238,26 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
 
         def image(f):
             return f[::-1].translate(table)
+    radii = theta_pal_radii(theta2.pairing, seq)
     witnesses: list[Word] = []
     for length in range(1, min(max_factor_len, len(seq)) + 1):
-        seen: dict = {}     # factor -> (its Theta-image, first occurrence)
+        seen: dict = {}     # factor -> (Theta-image, first occurrence, class)
         last: dict = {}     # class -> (start, factor) of its latest mark
         found: dict = {}    # segment -> (first occurrence of w, start)
         for i in range(len(seq) - length + 1):
             g = seq[i:i + length]
             info = seen.get(g)
             if info is None:
-                info = seen[g] = (image(g), i)
-            tg = info[0]
-            cls = min(g, tg)
+                tg = image(g)
+                info = seen[g] = (tg, i, min(g, tg))
+            cls = info[2]
             prev = last.get(cls)
             last[cls] = (i, g)
-            if prev is None or prev[1] != tg:
+            if prev is None or prev[1] != info[0]:
                 continue
-            i1, h = prev
-            seg = seq[i1:i + length]
-            if seg not in found and image(seg) != seg:
-                found[seg] = (seen[h][1], i1)
+            i1, end = prev[0], i + length
+            if radii[i1 + end] < end - i1:
+                found.setdefault(seq[i1:end], (seen[prev[1]][1], i1))
         witnesses.extend(Word(v_prefix.alphabet, tuple(seg))
                          for seg in sorted(found, key=found.__getitem__))
         if len(witnesses) >= REPORTED_WITNESSES:
@@ -281,22 +282,22 @@ def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
     witnesses: list[Word] = []
     if defect(theta2, v_prefix) != 0:
         witnesses = _mirror_bounded_witnesses(theta2, v_prefix, max_factor_len)
-    cond_ii = True
     cond_ii_witness = None
+    # a and Theta(a) merge the same two occurrence lists and fail together;
+    # the smaller one is the letter a test of every letter would report first
     for a in range(len(theta2.alphabet)):
-        if theta2.pairing[a] == a:
+        if theta2.pairing[a] <= a:
             continue
         ok, idx = occurrences_alternate(
             theta2, v_prefix, Word(v_prefix.alphabet, (a,)))
         if not ok:
-            cond_ii = False
             cond_ii_witness = f"letter {theta2.alphabet.letters[a]} at index {idx}"
             break
     return RichnessConditionsReport(
         condition_i=not witnesses,
         condition_i_witnesses=tuple(witnesses[:REPORTED_WITNESSES]),
-        condition_ii=cond_ii, condition_ii_witness=cond_ii_witness,
-        max_factor_len=max_factor_len)
+        condition_ii=cond_ii_witness is None,
+        condition_ii_witness=cond_ii_witness, max_factor_len=max_factor_len)
 
 
 # --- return-word recoding ----------------------------------------------------

@@ -12,8 +12,7 @@ from typing import Optional
 
 from .core import Alphabet, Antimorphism, InputError, Word
 from .palindromes import pal_prefix_lengths, theta_pal_closure
-from .rauzy import special_extensions
-from .complexity import closed_under_theta
+from .complexity import _SuffixAutomaton
 
 
 @dataclass(frozen=True)
@@ -211,23 +210,22 @@ def arnoux_rauzy_check(prefix: Word, max_len: int, valence: int) -> ArnouxRauzyR
     and one RS factor, each with full valence, and the factor set is closed
     under reversal.  (Definition choice is documented in the README.)  The
     first failing length is reported; at one length, closure is checked
-    before the special factors.
+    before the special factors.  All are read from one suffix automaton.
     """
-    closed, witness = closed_under_theta(
-        Antimorphism.reversal(prefix.alphabet), prefix, max_len)
+    sam = _SuffixAutomaton(prefix.symbols)
+    # the reversals of the factors are the factors of the reversed prefix
+    unclosed = sam.shortest_absent(prefix.symbols[::-1])
+    left, right = sam.special_valences(max_len)
     for n in range(1, max_len + 1):
-        if not closed and n == len(witness):
-            return ArnouxRauzyReport(False, valence, max_len, n,
-                                     "factor set not closed under reversal")
-        left, right = special_extensions(prefix.symbols, n)
-        if len(left) != 1 or len(right) != 1:
-            return ArnouxRauzyReport(
-                False, valence, max_len, n,
-                f"expected one LS and one RS factor, got "
-                f"{len(left)} LS / {len(right)} RS")
-        (lefts,), (rights,) = left.values(), right.values()
-        if len(lefts) != valence or len(rights) != valence:
-            return ArnouxRauzyReport(
-                False, valence, max_len, n,
-                f"special factor valence {len(lefts)}/{len(rights)} != {valence}")
+        ls, rs = left[n], right[n]
+        if n == unclosed:
+            reason = "factor set not closed under reversal"
+        elif ls.total() != 1 or rs.total() != 1:
+            reason = (f"expected one LS and one RS factor, got "
+                      f"{ls.total()} LS / {rs.total()} RS")
+        elif ls.keys() != {valence} or rs.keys() != {valence}:
+            reason = f"special factor valence {min(ls)}/{min(rs)} != {valence}"
+        else:
+            continue
+        return ArnouxRauzyReport(False, valence, max_len, n, reason)
     return ArnouxRauzyReport(True, valence, max_len, None, None)

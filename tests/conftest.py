@@ -4,6 +4,13 @@ import random
 import pytest
 
 from palrich.core import Alphabet, Antimorphism, InputError, Word, factor_tuples
+from palrich.generators import (
+    DirectiveSequence,
+    fibonacci_source,
+    theta_standard_with_seed_source,
+    thue_morse_source,
+    tribonacci_source,
+)
 from palrich.palindromes import PalIndex, defect, theta_pal_closure
 
 
@@ -113,3 +120,21 @@ def inline_segments(symbols, starts, tail: int):
             segments.append(seg)
         coding.append(letter_of[seg])
     return segments, coding
+
+
+def corpus(n: int):
+    """(name, Theta, length-n prefix) of the six frozen corpus words."""
+    ab, abc = Alphabet(("a", "b")), Alphabet(("a", "b", "c"))
+    tr, e = Antimorphism.reversal(ab), Antimorphism.from_pairs(ab, [("a", "b")])
+    th = Antimorphism.from_pairs(abc, [("a", "b"), ("c", "c")])
+    yield "fibonacci", tr, fibonacci_source().prefix(n)
+    yield "tribonacci", Antimorphism.reversal(abc), tribonacci_source().prefix(n)
+    yield "thue_morse", tr, thue_morse_source().prefix(n)
+    for name, theta, seed, period in (("ts_exchange", e, "", "ab"),
+                                      ("ts_mixed3", th, "", "abc"),
+                                      ("ts_seeded_rev", tr, "ab", "ab")):
+        letters = theta.alphabet
+        src = theta_standard_with_seed_source(
+            theta, Word.from_text(letters, seed),
+            DirectiveSequence.parse(letters, "", period))
+        yield name, theta, src.prefix(n)

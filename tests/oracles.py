@@ -7,7 +7,9 @@ exception: they take the candidate lengths from the library
 (``decompose._candidate_prefix_lengths``, itself pinned against the
 complete-return scan in ``test_crw_lemma.py``) and replace only how p is
 chosen and coded.  The theorem 1 selection lists the special factors of
-every length it tries.
+every length it tries, and so does the Arnoux-Rauzy check; the condition
+(i) sweep compares each segment with its Theta-image instead of reading a
+radius table.
 """
 from typing import Optional
 
@@ -26,6 +28,7 @@ from palrich.core import (
 )
 from palrich.complexity import closed_under_theta
 from palrich.decompose import (
+    REPORTED_WITNESSES,
     SEARCH_BUDGET,
     DecomposeError,
     ReturnWordCoding,
@@ -34,11 +37,11 @@ from palrich.decompose import (
     _periodic_coding,
     verify_eq3,
 )
-from palrich.generators import DirectiveSequence, WordSource
+from palrich.generators import ArnouxRauzyReport, DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile, PalIndex
 from palrich.rauzy import special_extensions
 from palrich.returns import CrwReport, CrwViolation, \
-    mirror_bounded_palindromicity
+    mirror_bounded_palindromicity, occurrences_alternate
 
 MAX_CANDIDATES = 16     # palindromic prefixes tried by letter_check_theorem2
 
@@ -298,6 +301,85 @@ def factor_loop_condition_i(theta2: Antimorphism, v: Word,
             witnesses.extend(
                 mirror_bounded_palindromicity(theta2, v, Word(v.alphabet, f))[1])
     return witnesses
+
+
+def window_condition_i(theta2: Antimorphism, v: Word,
+                       max_factor_len: int) -> list[Word]:
+    """``decompose._mirror_bounded_witnesses`` testing each minimal segment
+    by comparing it with its Theta-image, and taking the class of each
+    window with one ``min``."""
+    if v._bytes is None:
+        seq = v.symbols
+        image = theta2.image
+    else:
+        seq = v._bytes
+        pair = theta2.pairing
+        table = bytes(pair) + bytes(range(len(pair), 256))
+
+        def image(f):
+            return f[::-1].translate(table)
+    witnesses: list[Word] = []
+    for length in range(1, min(max_factor_len, len(seq)) + 1):
+        seen: dict = {}     # factor -> (its Theta-image, first occurrence)
+        last: dict = {}     # class -> (start, factor) of its latest mark
+        found: dict = {}    # segment -> (first occurrence of w, start)
+        for i in range(len(seq) - length + 1):
+            g = seq[i:i + length]
+            info = seen.get(g)
+            if info is None:
+                info = seen[g] = (image(g), i)
+            tg = info[0]
+            cls = min(g, tg)
+            prev = last.get(cls)
+            last[cls] = (i, g)
+            if prev is None or prev[1] != tg:
+                continue
+            i1, h = prev
+            seg = seq[i1:i + length]
+            if seg not in found and image(seg) != seg:
+                found[seg] = (seen[h][1], i1)
+        witnesses.extend(Word(v.alphabet, tuple(seg))
+                         for seg in sorted(found, key=found.__getitem__))
+        if len(witnesses) >= REPORTED_WITNESSES:
+            break
+    return witnesses
+
+
+def every_letter_condition_ii(theta2: Antimorphism,
+                              v: Word) -> tuple[bool, Optional[str]]:
+    """Condition (ii) of ``richness_conditions_check`` testing every letter
+    not fixed by Theta, in index order."""
+    for a in range(len(theta2.alphabet)):
+        if theta2.pairing[a] == a:
+            continue
+        ok, idx = occurrences_alternate(theta2, v, Word(v.alphabet, (a,)))
+        if not ok:
+            return False, f"letter {theta2.alphabet.letters[a]} at index {idx}"
+    return True, None
+
+
+def special_extensions_arnoux_rauzy_check(prefix: Word, max_len: int,
+                                          valence: int) -> ArnouxRauzyReport:
+    """``arnoux_rauzy_check`` listing the special factors of each length,
+    with closure from the factor sets of each length."""
+    closed, witness = factor_set_closed_under_theta(
+        Antimorphism.reversal(prefix.alphabet), prefix, max_len)
+    for n in range(1, max_len + 1):
+        if not closed and n == len(witness):
+            return ArnouxRauzyReport(False, valence, max_len, n,
+                                     "factor set not closed under reversal")
+        left, right = special_extensions(prefix.symbols, n)
+        if len(left) != 1 or len(right) != 1:
+            return ArnouxRauzyReport(
+                False, valence, max_len, n,
+                f"expected one LS and one RS factor, got "
+                f"{len(left)} LS / {len(right)} RS")
+        (lefts,), (rights,) = left.values(), right.values()
+        if len(lefts) != valence or len(rights) != valence:
+            return ArnouxRauzyReport(
+                False, valence, max_len, n,
+                f"special factor valence {len(lefts)}/{len(rights)} != {valence}")
+    return ArnouxRauzyReport(True, valence, max_len, None, None)
 
 
 def factor_loop_palindromic_complexity(theta: Antimorphism, prefix: Word,

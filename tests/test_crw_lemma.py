@@ -19,35 +19,10 @@ from palrich.core import (
     symbols_are_theta_palindrome,
 )
 from palrich.decompose import _candidate_prefix_lengths, _return_coding
-from palrich.generators import (
-    DirectiveSequence,
-    fibonacci_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
-    tribonacci_source,
-)
+from palrich.generators import DirectiveSequence, theta_standard_with_seed_source
 from palrich.palindromes import crw_violation_lengths
 from palrich.returns import crw_palindromicity_scan
-from conftest import every_involution, random_involution, random_word
-
-AB = Alphabet(("a", "b"))
-ABC = Alphabet(("a", "b", "c"))
-
-
-def corpus(n: int):
-    tr, e = Antimorphism.reversal(AB), Antimorphism.from_pairs(AB, [("a", "b")])
-    th = Antimorphism.from_pairs(ABC, [("a", "b"), ("c", "c")])
-    yield "fibonacci", tr, fibonacci_source().prefix(n)
-    yield "tribonacci", Antimorphism.reversal(ABC), tribonacci_source().prefix(n)
-    yield "thue_morse", tr, thue_morse_source().prefix(n)
-    for name, theta, seed, period in (("ts_exchange", e, "", "ab"),
-                                      ("ts_mixed3", th, "", "abc"),
-                                      ("ts_seeded_rev", tr, "ab", "ab")):
-        ab = theta.alphabet
-        src = theta_standard_with_seed_source(
-            theta, Word.from_text(ab, seed), DirectiveSequence.parse(ab, "", period))
-        yield name, theta, src.prefix(n)
-
+from conftest import corpus, every_involution, random_involution, random_word
 
 CORPUS_4000 = list(corpus(4000))
 

@@ -1,0 +1,201 @@
+"""The Arnoux-Rauzy check read from one suffix automaton and condition (i)
+read from one Theta-palindrome radius table, against the per-length scans
+they replaced (``tests/oracles.py``)."""
+import itertools
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import palrich.generators
+import palrich.rauzy
+from palrich.complexity import _SuffixAutomaton, default_safe_length
+from palrich.core import Alphabet, Antimorphism, Word
+from palrich.decompose import (
+    _bispecial_coding,
+    _mirror_bounded_witnesses,
+    richness_conditions_check,
+)
+from palrich.generators import (
+    DirectiveSequence,
+    arnoux_rauzy_check,
+    fibonacci_source,
+    theta_standard_with_seed_source,
+    thue_morse_source,
+)
+from palrich.palindromes import theta_pal_radii
+from palrich.rauzy import special_extensions
+from conftest import (
+    corpus,
+    every_involution,
+    random_involution,
+    random_word,
+    w,
+)
+from oracles import (
+    every_letter_condition_ii,
+    special_extensions_arnoux_rauzy_check,
+    window_condition_i,
+)
+
+
+def assert_valences_match(sym: tuple, top: int) -> None:
+    left, right = _SuffixAutomaton(sym).special_valences(top)
+    assert len(left) == len(right) == top + 1
+    for n in range(1, top + 1):
+        ls, rs = special_extensions(sym, n)
+        assert left[n] == Counter(len(ext) for ext in ls.values()), n
+        assert right[n] == Counter(len(ext) for ext in rs.values()), n
+
+
+def assert_ar_matches(v: Word, max_len: int, valence: int) -> None:
+    assert (arnoux_rauzy_check(v, max_len, valence)
+            == special_extensions_arnoux_rauzy_check(v, max_len, valence))
+
+
+def assert_conditions_match(theta2: Antimorphism, v: Word,
+                            max_factor_len=None) -> None:
+    rep = richness_conditions_check(theta2, v, max_factor_len)
+    top = rep.max_factor_len
+    expected = window_condition_i(theta2, v, top)
+    # the defect-0 shortcut skips the sweep; the sweep itself is compared too
+    assert _mirror_bounded_witnesses(theta2, v, top) == expected
+    assert rep.condition_i == (not expected)
+    assert rep.condition_i_witnesses == tuple(expected[:8])
+    assert (rep.condition_ii, rep.condition_ii_witness) == \
+        every_letter_condition_ii(theta2, v)
+
+
+def derived_words(n: int):
+    # the theorem 3 derived words of the three decompose-mix theorem3 inputs
+    ab, abc = Alphabet(("a", "b")), Alphabet(("a", "b", "c"))
+    for letters, pairs, seed, period in (
+            (ab, [("a", "b")], "", "ab"),
+            (abc, [("a", "b"), ("c", "c")], "", "abc"),
+            (ab, [("a", "a"), ("b", "b")], "ab", "ab")):
+        theta = Antimorphism.from_pairs(letters, pairs)
+        src = theta_standard_with_seed_source(
+            theta, Word.from_text(letters, seed),
+            DirectiveSequence.parse(letters, "", period))
+        yield _bispecial_coding(theta, src.prefix(n))[1]
+
+
+@pytest.mark.parametrize("coding", list(derived_words(4000)),
+                         ids=["exchange", "mixed3", "seeded_rev"])
+def test_derived_words_match_oracles(coding):
+    v, m = coding.v_prefix, coding.m
+    for max_len, valence in ((default_safe_length(len(v)), m), (64, m),
+                             (64, m + 1)):
+        assert_ar_matches(v, max_len, valence)
+    assert arnoux_rauzy_check(v, default_safe_length(len(v)), m).ok
+    assert_valences_match(v.symbols, 64)
+    k = len(v.alphabet)
+    for theta in every_involution(k):
+        assert_conditions_match(Antimorphism(v.alphabet, theta.pairing), v)
+
+
+@pytest.mark.parametrize("name, theta, word", list(corpus(2000)),
+                         ids=[name for name, _, _ in corpus(0)])
+def test_corpus_words_match_oracles(name, theta, word):
+    assert_ar_matches(word, 64, len(word.alphabet))
+    assert_valences_match(word.symbols, 64)
+    assert_conditions_match(theta, word, 64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_words_match_oracles(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    theta = random_involution(rng, data.draw(st.integers(1, 4)))
+    if data.draw(st.booleans()):
+        word = random_word(rng, theta, data.draw(st.integers(1, 60)))
+    else:
+        # closure words pass the Arnoux-Rauzy test at some lengths
+        d = DirectiveSequence(random_word(rng, theta, data.draw(st.integers(0, 3))),
+                              random_word(rng, theta, data.draw(st.integers(1, 4))))
+        seed = random_word(rng, theta, data.draw(st.integers(0, 3)))
+        word = theta_standard_with_seed_source(theta, seed, d).prefix(
+            data.draw(st.integers(1, 300)))
+    assert_ar_matches(word, data.draw(st.integers(1, len(word))),
+                      data.draw(st.integers(1, 4)))
+    assert_valences_match(word.symbols, min(len(word), 64))
+    assert_conditions_match(theta, word, data.draw(st.integers(1, len(word) + 5)))
+
+
+def test_tuple_path_matches_oracles():
+    # over more than 256 letters the sweeps slice tuples, not bytes
+    rng = random.Random(12)
+    ab = Alphabet(tuple(f"x{i}" for i in range(300)))
+    for trial in range(60):
+        pairing = list(range(300))
+        if trial % 2:
+            pairing[1], pairing[299] = 299, 1
+        theta = Antimorphism(ab, tuple(pairing))
+        word = Word(ab, tuple(rng.choice((0, 1, 150, 299))
+                              for _ in range(rng.randint(1, 60))))
+        assert_ar_matches(word, rng.randint(1, len(word)), rng.randint(1, 4))
+        assert_valences_match(word.symbols, len(word))
+        assert_conditions_match(theta, word, rng.randint(1, len(word) + 5))
+
+
+def brute_radii(pairing, seq) -> list[int]:
+    n = len(seq)
+    radii = []
+    for c in range(2 * n + 1):
+        best = -1 if c % 2 else 0
+        for s in range(c // 2 + 1):
+            e = c - s
+            if e <= n and all(seq[s + j] == pairing[seq[e - 1 - j]]
+                              for j in range(e - s)):
+                best = e - s
+                break
+        radii.append(best)
+    return radii
+
+
+def test_radius_table_matches_brute_force():
+    rng = random.Random(3)
+    odd_unfixed = 0
+    for k in (1, 2, 3):
+        for theta in every_involution(k):
+            pair = theta.pairing
+            words = [sym for length in range(7)
+                     for sym in itertools.product(range(k), repeat=length)]
+            words += [tuple(rng.randrange(k) for _ in range(rng.randint(7, 40)))
+                      for _ in range(150)]
+            for sym in words:
+                expected = brute_radii(pair, sym)
+                assert theta_pal_radii(pair, sym) == expected
+                assert theta_pal_radii(pair, bytes(sym)) == expected
+                odd_unfixed += sum(1 for i, a in enumerate(sym)
+                                   if pair[a] != a and expected[2 * i + 1] == -1)
+    # odd segments centred on a letter a != Theta(a) were among them
+    assert odd_unfixed > 0
+
+
+def test_arnoux_rauzy_check_builds_one_automaton(monkeypatch, ab):
+    real = palrich.rauzy.special_extensions
+    calls: list[int] = []
+
+    def counted(sym, n):
+        calls.append(n)
+        return real(sym, n)
+    monkeypatch.setattr(palrich.rauzy, "special_extensions", counted)
+    assert not hasattr(palrich.generators, "special_extensions")
+    builds: list = []
+    init = _SuffixAutomaton.__init__
+
+    def counting_init(self, symbols):
+        builds.append(symbols)
+        init(self, symbols)
+    monkeypatch.setattr(_SuffixAutomaton, "__init__", counting_init)
+    cases = [(fibonacci_source().prefix(3000), 20, 2),
+             (thue_morse_source().prefix(3000), 20, 2),
+             (w(ab, "aaabbb"), 6, 2), (w(ab, "aaba"), 6, 2),
+             (w(ab, "abaababaab"), 6, 3)]
+    for word, max_len, valence in cases:
+        builds.clear()
+        arnoux_rauzy_check(word, max_len, valence)
+        assert calls == []
+        assert len(builds) == 1
