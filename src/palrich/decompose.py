@@ -12,6 +12,7 @@ outputs for auditability.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,8 +35,7 @@ from .generators import (
     arnoux_rauzy_check,
     theta_standard_with_seed_source,
 )
-from .palindromes import (crw_violation_lengths, defect, pal_prefix_lengths,
-                          theta_pal_radii)
+from .palindromes import crw_violation_lengths, defect, pal_prefix_lengths
 from .rauzy import factor_extensions, simple_path_cut
 from .returns import occurrences_alternate
 
@@ -223,43 +223,61 @@ class RichnessConditionsReport:
 def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
                               max_factor_len: int) -> list[Word]:
     # every minimal factor from w to Theta(w) that is not a Theta-palindrome,
-    # for the factors w up to max_factor_len, ordered by (|w|, first
-    # occurrence of w, start); lengths stop once REPORTED_WITNESSES are found.
-    # Occurrences of w and Theta(w) share the class min(w, Theta(w)), so one
-    # sweep per length sees each pair of consecutive marks of a class; it is
-    # a minimal segment for w exactly when the later mark is Theta(w).
-    if v_prefix._bytes is None:
-        seq = v_prefix.symbols
-        image = theta2.image
-    else:
-        seq = v_prefix._bytes
-        pair = theta2.pairing
-        table = bytes(pair) + bytes(range(len(pair), 256))
+    # for |w| up to max_factor_len, by (|w|, first occurrence of w, of the
+    # factor), stopping at the length that reaches REPORTED_WITNESSES.  No
+    # mark w or Theta(w) starts strictly inside such a segment u, so each
+    # occurrence of u is one.  A table of suffixes sorted by their first
+    # 2 * max_factor_len letters holds those starting with a shorter u in one
+    # block, cut once; a longer u is cut at each of its occurrences.
+    sym, pair = v_prefix.symbols, theta2.pairing
+    # fixed-width big-endian letters (only aligned find hits count over more
+    # than 256 letters); Theta(seq[i:j]) is mirror[n - j:n - i]
+    width = 1 if v_prefix._bytes is not None else (len(pair).bit_length() + 7) // 8
+    code = [a.to_bytes(width, "big") for a in range(len(pair))]
+    seq = b"".join(code[a] for a in sym)
+    mirror = b"".join(code[a] for a in theta2.image(sym))
 
-        def image(f):
-            return f[::-1].translate(table)
-    radii = theta_pal_radii(theta2.pairing, seq)
-    witnesses: list[Word] = []
-    for length in range(1, min(max_factor_len, len(seq)) + 1):
-        seen: dict = {}     # factor -> (Theta-image, first occurrence, class)
-        last: dict = {}     # class -> (start, factor) of its latest mark
-        found: dict = {}    # segment -> (first occurrence of w, start)
-        for i in range(len(seq) - length + 1):
-            g = seq[i:i + length]
-            info = seen.get(g)
-            if info is None:
-                tg = image(g)
-                info = seen[g] = (tg, i, min(g, tg))
-            cls = info[2]
-            prev = last.get(cls)
-            last[cls] = (i, g)
-            if prev is None or prev[1] != info[0]:
-                continue
-            i1, end = prev[0], i + length
-            if radii[i1 + end] < end - i1:
-                found.setdefault(seq[i1:end], (seen[prev[1]][1], i1))
-        witnesses.extend(Word(v_prefix.alphabet, tuple(seg))
-                         for seg in sorted(found, key=found.__getitem__))
+    def aligned_find(f, start, end):
+        i = seq.find(f, start, end)
+        while i > 0 and i % width:
+            i = seq.find(f, i + 1, end)
+        return i
+    find = seq.find if width == 1 else aligned_find
+
+    top = min(max_factor_len, len(sym))
+    n, span = len(seq), top * width
+    sa = sorted(range(0, n, width), key=lambda i: seq[i:i + 2 * span])
+    # cut_at[h]: the indices j whose suffix shares h < top letters with j - 1's
+    cut_at: list[list[int]] = [[] for _ in range(top)]
+    for j in range(1, len(sa)):
+        a, b = seq[sa[j - 1]:sa[j - 1] + span], seq[sa[j]:sa[j] + span]
+        if a != b:  # a sorts first: no mismatch makes it a prefix of b
+            h = next((k for k, (c, d) in enumerate(zip(a, b)) if c != d), len(a))
+            cut_at[h // width].append(j)
+    cuts, witnesses = [0, len(sa)], []
+    for length in range(1, top + 1):
+        cuts = sorted(cuts + cut_at[length - 1])  # the factors lie between
+        size = length * width
+        runs = {seq[sa[s]:sa[s] + size]: (s, e)
+                for s, e in zip(cuts, cuts[1:]) if n - sa[s] >= size}
+        found: dict = {}    # segment -> (first occurrence of w, of segment)
+        for x, (s, e) in runs.items():
+            tx = mirror[n - sa[s] - size:n - sa[s]]
+            first, j = min(sa[s:e]), (s if tx in runs else e)  # Theta(x) must occur
+            while j < e:
+                i1 = sa[j]
+                q = find(x, i1 + width, n)
+                t = q if tx == x else find(tx, i1 + width,
+                                            n if q < 0 else q + size - width)
+                mark = t if t >= 0 else q
+                u = seq[i1:mark + size]
+                k = j + 1 if mark < 0 or len(u) > 2 * span else bisect_right(
+                    sa, u, j + 1, e, key=lambda i, m=len(u): seq[i:i + m])
+                if t >= 0 and u not in found and mirror[n - i1 - len(u):n - i1] != u:
+                    found[u] = (first, min(sa[j:k]))
+                j = k
+        witnesses.extend(Word(v_prefix.alphabet, sym[i // width:(i + len(u)) // width])
+                         for u, (_, i) in sorted(found.items(), key=lambda kv: kv[1]))
         if len(witnesses) >= REPORTED_WITNESSES:
             break
     return witnesses
@@ -279,6 +297,8 @@ def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
         raise InputError("empty recoded prefix")
     if max_factor_len is None:
         max_factor_len = min(max(1, len(v_prefix) // 2), 64)
+    if max_factor_len < 1:
+        raise InputError(f"max_factor_len must be at least 1, got {max_factor_len}")
     witnesses: list[Word] = []
     if defect(theta2, v_prefix) != 0:
         witnesses = _mirror_bounded_witnesses(theta2, v_prefix, max_factor_len)

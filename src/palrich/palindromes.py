@@ -168,26 +168,6 @@ def crw_violation_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
             if node.lps_of > 1]
 
 
-def theta_pal_radii(pairing, seq) -> list[int]:
-    """Manacher's table: entry s + e is the length of the longest
-    Theta-palindrome centred like ``seq[s:e]``, -1 on a letter a != Theta(a),
-    so ``seq[s:e]`` is one iff entry s + e >= e - s.  Mirrored inside a
-    Theta-palindrome, f reads Theta(f), one exactly when f is, with the same
-    extensions.  An odd entry starts at -1, so its first step tests a."""
-    n = len(seq)
-    radii: list[int] = []
-    centre = right = 0      # entry and end of the palindrome reaching furthest
-    for c in range(2 * n + 1):
-        size = min(radii[2 * centre - c], 2 * right - c) if c < 2 * right else -(c % 2)
-        s, e = (c - size) // 2, (c + size) // 2
-        while s > 0 and e < n and seq[s - 1] == pairing[seq[e]]:
-            s, e = s - 1, e + 1
-        radii.append(e - s)
-        if e > right:
-            centre, right = c, e
-    return radii
-
-
 def defect(theta: Antimorphism, w: Word) -> int:
     """Theta-palindromic defect |w| + 1 - gamma - #Pal, via PalIndex."""
     d = len(w) + 1 - gamma(theta, w) - pal_index(theta, w.symbols).pal_count

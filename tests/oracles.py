@@ -7,9 +7,10 @@ exception: they take the candidate lengths from the library
 (``decompose._candidate_prefix_lengths``, itself pinned against the
 complete-return scan in ``test_crw_lemma.py``) and replace only how p is
 chosen and coded.  The theorem 1 selection lists the special factors of
-every length it tries, and so does the Arnoux-Rauzy check; the condition
-(i) sweep compares each segment with its Theta-image instead of reading a
-radius table.
+every length it tries, and so does the Arnoux-Rauzy check.  The condition
+(i) sweeps visit every window of every length, where the library cuts each
+distinct minimal segment once from a sorted suffix table; one tests each
+segment in a radius table, the other compares it with its Theta-image.
 """
 from typing import Optional
 
@@ -303,11 +304,73 @@ def factor_loop_condition_i(theta2: Antimorphism, v: Word,
     return witnesses
 
 
+def theta_pal_radii(pairing, seq) -> list[int]:
+    """Manacher's table: entry s + e is the length of the longest
+    Theta-palindrome centred like ``seq[s:e]``, -1 on a letter a != Theta(a),
+    so ``seq[s:e]`` is one iff entry s + e >= e - s.  Mirrored inside a
+    Theta-palindrome, f reads Theta(f), one exactly when f is, with the same
+    extensions.  An odd entry starts at -1, so its first step tests a."""
+    n = len(seq)
+    radii: list[int] = []
+    centre = right = 0      # entry and end of the palindrome reaching furthest
+    for c in range(2 * n + 1):
+        size = min(radii[2 * centre - c], 2 * right - c) if c < 2 * right else -(c % 2)
+        s, e = (c - size) // 2, (c + size) // 2
+        while s > 0 and e < n and seq[s - 1] == pairing[seq[e]]:
+            s, e = s - 1, e + 1
+        radii.append(e - s)
+        if e > right:
+            centre, right = c, e
+    return radii
+
+
+def radius_table_condition_i(theta2: Antimorphism, v: Word,
+                             max_factor_len: int) -> list[Word]:
+    """``decompose._mirror_bounded_witnesses`` as one sweep of every window
+    per length, testing each minimal segment in a Theta-palindrome radius
+    table built once per word."""
+    if v._bytes is None:
+        seq = v.symbols
+        image = theta2.image
+    else:
+        seq = v._bytes
+        pair = theta2.pairing
+        table = bytes(pair) + bytes(range(len(pair), 256))
+
+        def image(f):
+            return f[::-1].translate(table)
+    radii = theta_pal_radii(theta2.pairing, seq)
+    witnesses: list[Word] = []
+    for length in range(1, min(max_factor_len, len(seq)) + 1):
+        seen: dict = {}     # factor -> (Theta-image, first occurrence, class)
+        last: dict = {}     # class -> (start, factor) of its latest mark
+        found: dict = {}    # segment -> (first occurrence of w, start)
+        for i in range(len(seq) - length + 1):
+            g = seq[i:i + length]
+            info = seen.get(g)
+            if info is None:
+                tg = image(g)
+                info = seen[g] = (tg, i, min(g, tg))
+            cls = info[2]
+            prev = last.get(cls)
+            last[cls] = (i, g)
+            if prev is None or prev[1] != info[0]:
+                continue
+            i1, end = prev[0], i + length
+            if radii[i1 + end] < end - i1:
+                found.setdefault(seq[i1:end], (seen[prev[1]][1], i1))
+        witnesses.extend(Word(v.alphabet, tuple(seg))
+                         for seg in sorted(found, key=found.__getitem__))
+        if len(witnesses) >= REPORTED_WITNESSES:
+            break
+    return witnesses
+
+
 def window_condition_i(theta2: Antimorphism, v: Word,
                        max_factor_len: int) -> list[Word]:
-    """``decompose._mirror_bounded_witnesses`` testing each minimal segment
-    by comparing it with its Theta-image, and taking the class of each
-    window with one ``min``."""
+    """``radius_table_condition_i`` testing each minimal segment by
+    comparing it with its Theta-image, and taking the class of each window
+    with one ``min``."""
     if v._bytes is None:
         seq = v.symbols
         image = theta2.image

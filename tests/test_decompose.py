@@ -137,6 +137,13 @@ def test_condition_i_reports_first_eight_of_many_witnesses():
     assert many > 0
 
 
+@pytest.mark.parametrize("max_factor_len", [0, -5])
+def test_condition_i_refuses_max_factor_len_below_1(ab, swap, max_factor_len):
+    # condition (i) was reported true after checking no length at all
+    with pytest.raises(InputError, match="max_factor_len must be at least 1"):
+        richness_conditions_check(swap, w(ab, "aabb"), max_factor_len)
+
+
 def test_defect_zero_implies_clean_scans_exhaustively():
     # the two shortcuts of the decompose layer: a word of Theta-defect 0 has
     # only palindromic complete returns and satisfies condition (i) at every

@@ -1,6 +1,6 @@
 """The Arnoux-Rauzy check read from one suffix automaton and condition (i)
-read from one Theta-palindrome radius table, against the per-length scans
-they replaced (``tests/oracles.py``)."""
+read from the distinct minimal segments of one sorted suffix table, against
+the per-length scans they replaced (``tests/oracles.py``)."""
 import itertools
 import random
 from collections import Counter
@@ -16,6 +16,7 @@ from palrich.decompose import (
     _bispecial_coding,
     _mirror_bounded_witnesses,
     richness_conditions_check,
+    theorem1_decompose,
 )
 from palrich.generators import (
     DirectiveSequence,
@@ -24,7 +25,6 @@ from palrich.generators import (
     theta_standard_with_seed_source,
     thue_morse_source,
 )
-from palrich.palindromes import theta_pal_radii
 from palrich.rauzy import special_extensions
 from conftest import (
     corpus,
@@ -35,7 +35,9 @@ from conftest import (
 )
 from oracles import (
     every_letter_condition_ii,
+    radius_table_condition_i,
     special_extensions_arnoux_rauzy_check,
+    theta_pal_radii,
     window_condition_i,
 )
 
@@ -59,7 +61,8 @@ def assert_conditions_match(theta2: Antimorphism, v: Word,
     rep = richness_conditions_check(theta2, v, max_factor_len)
     top = rep.max_factor_len
     expected = window_condition_i(theta2, v, top)
-    # the defect-0 shortcut skips the sweep; the sweep itself is compared too
+    assert radius_table_condition_i(theta2, v, top) == expected
+    # the defect-0 shortcut skips the table; the table itself is compared too
     assert _mirror_bounded_witnesses(theta2, v, top) == expected
     assert rep.condition_i == (not expected)
     assert rep.condition_i_witnesses == tuple(expected[:8])
@@ -124,7 +127,8 @@ def test_random_words_match_oracles(data):
 
 
 def test_tuple_path_matches_oracles():
-    # over more than 256 letters the sweeps slice tuples, not bytes
+    # over more than 256 letters the table holds two bytes a letter and the
+    # oracles slice tuples
     rng = random.Random(12)
     ab = Alphabet(tuple(f"x{i}" for i in range(300)))
     for trial in range(60):
@@ -137,6 +141,64 @@ def test_tuple_path_matches_oracles():
         assert_ar_matches(word, rng.randint(1, len(word)), rng.randint(1, 4))
         assert_valences_match(word.symbols, len(word))
         assert_conditions_match(theta, word, rng.randint(1, len(word) + 5))
+
+
+def segment_words(theta: Antimorphism):
+    # every word over 1-3 letters up to 12, 11 and 7 letters
+    k = len(theta.alphabet)
+    for length in range(1, (12, 11, 7)[k - 1] + 1):
+        for sym in itertools.product(range(k), repeat=length):
+            yield Word(theta.alphabet, sym)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_short_words_match_oracles(k):
+    for theta in every_involution(k):
+        for word in segment_words(theta):
+            # a short sort key, and lengths past |v|
+            for top in (2, len(word) + 4):
+                expected = radius_table_condition_i(theta, word, top)
+                assert window_condition_i(theta, word, top) == expected
+                assert _mirror_bounded_witnesses(theta, word, top) == expected
+
+
+def test_path_codings_match_oracles():
+    # the theorem 1 recodings of the corpus words, as decompose --method path
+    for name, theta, word in corpus(4000):
+        coding = theorem1_decompose(theta, word, 1)
+        v, theta2 = coding.v_prefix, coding.theta2
+        top = min(len(v) // 2, 64)
+        expected = radius_table_condition_i(theta2, v, top)
+        assert _mirror_bounded_witnesses(theta2, v, top) == expected, name
+        assert window_condition_i(theta2, v, top) == expected, name
+
+
+def test_segments_longer_than_the_sort_key():
+    # the table sorts suffixes by their first 2 * max_factor_len letters, so
+    # a segment longer than that is cut once per occurrence
+    abc = Alphabet(("a", "b", "c"))
+    big = Alphabet(tuple(f"x{i}" for i in range(300)))
+    swap3 = Antimorphism.from_pairs(abc, [("a", "b"), ("c", "c")])
+    swap_big = Antimorphism(big, tuple([299] + list(range(1, 299)) + [0]))
+    words = [w(abc, "b" + "a" * 300 + "b"), w(abc, "c" + "a" * 300 + "c"),
+             w(abc, ("c" + "a" * 150) * 4 + "c"),
+             w(abc, ("c" + "a" * 40 + "c" + "b" * 40) * 3 + "cab"),
+             Word(big, (5,) + (0,) * 200 + (5,) + (299,) * 200 + (5,))]
+    rng = random.Random(8)
+    words += [Word(abc, tuple(rng.choice((0, 0, 0, 0, 1, 2))
+                              for _ in range(rng.randint(50, 200))))
+              for _ in range(40)]
+    long_witnesses = 0
+    for word in words:
+        thetas = [Antimorphism.reversal(word.alphabet)]
+        thetas.append(swap3 if word.alphabet == abc else swap_big)
+        for theta in thetas:
+            for top in (1, 2, 3, 5):
+                expected = radius_table_condition_i(theta, word, top)
+                assert _mirror_bounded_witnesses(theta, word, top) == expected
+                assert window_condition_i(theta, word, top) == expected
+                long_witnesses += sum(len(u) > 2 * top for u in expected)
+    assert long_witnesses > 0
 
 
 def brute_radii(pairing, seq) -> list[int]:
