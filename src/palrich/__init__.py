@@ -40,7 +40,6 @@ from .rauzy import (
 from .returns import (
     crw_palindromicity_scan,
     mirror_bounded_palindromicity,
-    occurrences_alternate,
     return_structure,
     unioccurrent_lps_scan,
 )

@@ -24,6 +24,7 @@ from .core import (
     word_from_file,
 )
 from .complexity import (
+    DEFAULT_SAFE_DIVISOR,
     check_inequality2,
     closed_under_theta,
     complexity_table,
@@ -244,12 +245,9 @@ def cmd_rauzy(args) -> int:
 
 def _eq4_samples(coding, theta, rng) -> dict:
     b = coding.return_alphabet
-    failures = 0
-    for _ in range(EQ4_SAMPLES):
-        length = rng.randint(0, 6)
-        w = Word(b, tuple(rng.randrange(len(b)) for _ in range(length)))
-        if not verify_eq4(theta, coding.phi, coding.p, w):
-            failures += 1
+    words = [Word(b, tuple(rng.randrange(len(b)) for _ in range(rng.randint(0, 6))))
+             for _ in range(EQ4_SAMPLES)]
+    failures = sum(not verify_eq4(theta, coding.phi, coding.p, w) for w in words)
     return {"samples": EQ4_SAMPLES, "failures": failures}
 
 
@@ -323,18 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="full analysis report")
-    _add_common(a)
-    a.add_argument("--safe-divisor", type=int, default=64,
-                   help="safe_length = prefix_length / divisor")
+    r = sub.add_parser("rauzy", help="super reduced Rauzy graph at one length")
+    for sp in (a, r):
+        _add_common(sp)
+        sp.add_argument("--safe-divisor", type=int, default=DEFAULT_SAFE_DIVISOR,
+                        help="safe_length = prefix_length / divisor")
     a.add_argument("--max-rauzy-n", type=int, default=12)
     a.add_argument("--profile-csv", help="write the defect profile CSV here")
     a.add_argument("--table-csv", help="write the complexity table CSV here")
     a.set_defaults(func=cmd_analyze)
 
-    r = sub.add_parser("rauzy", help="super reduced Rauzy graph at one length")
-    _add_common(r)
-    r.add_argument("--safe-divisor", type=int, default=64,
-                   help="safe_length = prefix_length / divisor")
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--dot", help="write the DOT graph here")
     r.set_defaults(func=cmd_rauzy)

@@ -37,7 +37,6 @@ from .generators import (
 )
 from .palindromes import crw_violation_lengths, defect, pal_prefix_lengths
 from .rauzy import factor_extensions, simple_path_cut
-from .returns import occurrences_alternate
 
 DEFAULT_SAFETY_MARGIN = 2
 SEARCH_BUDGET = 64      # coding lengths tried past n by theorem1_decompose
@@ -97,22 +96,33 @@ def _smallest_period(sym: tuple) -> int:
     return n - fail[n]
 
 
-def _periodic_coding(theta: Antimorphism, prefix: Word, n: int) -> SimplePathCoding:
+def _recode(prefix: Word, segments, codes, overlap: int, letters: tuple,
+            span: tuple[int, int], kind: str) -> tuple[Morphism, Word]:
+    # phi sends letter k to segment k less its overlap with the next one, v
+    # is ``codes``; phi(v) must give back the covered span of the prefix
+    b_alpha = Alphabet(letters)
+    phi = Morphism(b_alpha, prefix.alphabet, tuple(
+        Word(prefix.alphabet, e[:len(e) - overlap]) for e in segments))
+    v = Word(b_alpha, tuple(codes))
+    if apply_morphism(phi, v).symbols != prefix.symbols[span[0]:span[1]]:
+        raise InvariantError(f"{kind} refactorization mismatch")
+    return phi, v
+
+
+def _periodic_coding(prefix: Word, n: int) -> SimplePathCoding:
     sym = prefix.symbols
     p = _smallest_period(sym)
     if p > len(sym) // 2:
         raise DecomposeError(
             "no special factors and no short period: prefix too short to decide",
             {"smallest_period": p, "prefix_length": len(sym)})
-    period = Word(prefix.alphabet, sym[:p])
-    b = Alphabet(("[0]",))
-    theta2 = Antimorphism.reversal(b)
     count = len(sym) // p
-    v = Word(b, (0,) * count)
-    phi = Morphism(b, prefix.alphabet, (period,))
+    phi, v = _recode(prefix, [sym[:p]], [0] * count, 0, ("[0]",), (0, count * p),
+                     "simple-path")
     return SimplePathCoding(
-        n=n, requested_n=n, path_alphabet=b, theta2=theta2, v_prefix=v,
-        phi=phi, path_table={"[0]": period},
+        n=n, requested_n=n, path_alphabet=phi.source,
+        theta2=Antimorphism.reversal(phi.source), v_prefix=v, phi=phi,
+        path_table={"[0]": phi.images[0]},
         occurrence_indices=tuple(range(0, count * p, p)),
         covered_start=0, covered_end=count * p, tail_length=len(sym) - count * p,
         flags={"periodic": True, "period_length": p})
@@ -139,7 +149,7 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
     sym = prefix.symbols
     specials, positions, (paths, v_sym) = simple_path_cut(sym, n)
     if not specials:
-        return _periodic_coding(theta, prefix, n)
+        return _periodic_coding(prefix, n)
 
     flags: dict = {}
     for chosen in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
@@ -175,22 +185,13 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
                 {"n": chosen, "path": Word(prefix.alphabet, e).text})
         pairing.append(letter_of[te])
 
-    b_alpha = Alphabet(tuple(f"[{k}]" for k in range(len(paths))))
-    theta2 = Antimorphism(b_alpha, tuple(pairing))
-    images = tuple(Word(prefix.alphabet, e[:len(e) - chosen]) for e in paths)
-    phi = Morphism(b_alpha, prefix.alphabet, images)
-    v = Word(b_alpha, tuple(v_sym))
-    path_table = {b_alpha.letters[k]: Word(prefix.alphabet, e)
-                  for k, e in enumerate(paths)}
-
-    covered = apply_morphism(phi, v)
-    expected = sym[positions[0]:positions[-1]]
-    if covered.symbols != expected:
-        raise InvariantError("simple-path refactorization mismatch")
-
+    letters = tuple(f"[{k}]" for k in range(len(paths)))
+    phi, v = _recode(prefix, paths, v_sym, chosen, letters,
+                     (positions[0], positions[-1]), "simple-path")
     return SimplePathCoding(
-        n=chosen, requested_n=n, path_alphabet=b_alpha, theta2=theta2,
-        v_prefix=v, phi=phi, path_table=path_table,
+        n=chosen, requested_n=n, path_alphabet=phi.source,
+        theta2=Antimorphism(phi.source, tuple(pairing)), v_prefix=v, phi=phi,
+        path_table={tok: Word(prefix.alphabet, e) for tok, e in zip(letters, paths)},
         occurrence_indices=tuple(positions),
         covered_start=positions[0], covered_end=positions[-1],
         tail_length=len(sym) - positions[-1], flags=flags)
@@ -302,17 +303,18 @@ def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
     witnesses: list[Word] = []
     if defect(theta2, v_prefix) != 0:
         witnesses = _mirror_bounded_witnesses(theta2, v_prefix, max_factor_len)
-    cond_ii_witness = None
-    # a and Theta(a) merge the same two occurrence lists and fail together;
-    # the smaller one is the letter a test of every letter would report first
-    for a in range(len(theta2.alphabet)):
-        if theta2.pairing[a] <= a:
-            continue
-        ok, idx = occurrences_alternate(
-            theta2, v_prefix, Word(v_prefix.alphabet, (a,)))
-        if not ok:
-            cond_ii_witness = f"letter {theta2.alphabet.letters[a]} at index {idx}"
-            break
+    # condition (ii): the letters of each pair {a, Theta(a)}, a < Theta(a),
+    # alternate; a test of every letter reports the smallest failing a at the
+    # first index where a letter of its pair follows itself
+    pair, last, failed = theta2.pairing, {}, {}
+    for i, x in enumerate(v_prefix.symbols):
+        a = min(x, pair[x])
+        if a != pair[a] and last.get(a) == x:
+            failed.setdefault(a, i)
+        last[a] = x
+    a = min(failed, default=None)
+    cond_ii_witness = (None if a is None else
+                       f"letter {theta2.alphabet.letters[a]} at index {failed[a]}")
     return RichnessConditionsReport(
         condition_i=not witnesses,
         condition_i_witnesses=tuple(witnesses[:REPORTED_WITNESSES]),
@@ -359,10 +361,16 @@ def verify_eq3(theta: Antimorphism, p: Word, q: Word) -> bool:
 
 def verify_eq4(theta: Antimorphism, phi: Morphism, p: Word, w: Word) -> bool:
     """Letter-for-letter check of Theta(phi(w) p) = phi(reverse(w)) p."""
-    lhs = apply_antimorphism(theta, apply_morphism(phi, w) + p)
-    rev = Word(w.alphabet, tuple(reversed(w.symbols)))
-    rhs = apply_morphism(phi, rev) + p
-    return lhs.symbols == rhs.symbols
+    if w.alphabet != phi.source:
+        raise InputError("alphabet mismatch: word is not over the morphism source")
+    if p.alphabet != phi.target:
+        raise InputError("cannot concatenate words over different alphabets")
+    if theta.alphabet != phi.target:
+        raise InputError("alphabet mismatch")
+
+    def image(sym):  # phi(sym) p
+        return tuple(x for s in sym for x in phi.images[s].symbols) + p.symbols
+    return theta.image(image(w.symbols)) == image(w.symbols[::-1])
 
 
 def _candidate_prefix_lengths(theta: Antimorphism,
@@ -389,21 +397,15 @@ def _return_coding(theta: Antimorphism, prefix: Word, p: Word,
     (``crw_violation_lengths``), so it holds; were it ever to fail, the
     reports say ``eq3_ok: false`` and are not ok.
     """
-    sym = prefix.symbols
-    m = len(p)
-    complete, v_sym = segment_coding(sym, occ, m)
-    b_alpha = Alphabet(tuple(str(i + 1) for i in range(len(complete))))
-    ret_words = tuple(Word(prefix.alphabet, cr[:len(cr) - m]) for cr in complete)
-    phi = Morphism(b_alpha, prefix.alphabet, ret_words)
-    v = Word(b_alpha, tuple(v_sym))
-    covered = apply_morphism(phi, v)
-    if covered.symbols != sym[:occ[-1]]:
-        raise InvariantError("return-word refactorization mismatch")
+    complete, v_sym = segment_coding(prefix.symbols, occ, len(p))
+    phi, v = _recode(prefix, complete, v_sym, len(p),
+                     tuple(str(i + 1) for i in range(len(complete))),
+                     (0, occ[-1]), "return-word")
     return ReturnWordCoding(
-        p=p, return_alphabet=b_alpha, returns=ret_words, phi=phi, v_prefix=v,
+        p=p, return_alphabet=phi.source, returns=phi.images, phi=phi, v_prefix=v,
         occurrence_indices=tuple(occ), covered_length=occ[-1],
-        tail_length=len(sym) - occ[-1],
-        eq3_ok=all(verify_eq3(theta, p, q) for q in ret_words))
+        tail_length=len(prefix) - occ[-1],
+        eq3_ok=all(verify_eq3(theta, p, q) for q in phi.images))
 
 
 def theorem2_decompose(theta: Antimorphism, prefix: Word) -> ReturnWordCoding:

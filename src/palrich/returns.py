@@ -1,4 +1,4 @@
-"""Return words, occurrence alternation and finite-defect scans.
+"""Return words and finite-defect scans.
 
 The constants appearing in the finite-defect characterizations are
 existential, so every scan here reports empirical thresholds observed on the
@@ -47,27 +47,6 @@ def return_structure(prefix: Word, w: Word) -> ReturnStructure:
         factor=w, occurrence_indices=tuple(occ),
         complete_returns=tuple(Word(ab, cr) for cr in crs),
         returns=tuple(Word(ab, cr[:len(cr) - m]) for cr in crs))
-
-
-def occurrences_alternate(theta: Antimorphism, prefix: Word,
-                          w: Word) -> tuple[bool, Optional[int]]:
-    """Do occurrences of w and Theta(w) strictly alternate in the prefix?
-
-    Trivially true when w is a Theta-palindrome.  Returns the index of the
-    first occurrence breaking the alternation otherwise.
-    """
-    if theta.alphabet != prefix.alphabet or w.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
-    tw = theta.image(w.symbols)
-    if tw == w.symbols:
-        return True, None
-    occ_w = occurrences(prefix, w)
-    occ_t = occurrences(prefix, Word(prefix.alphabet, tw))
-    merged = sorted([(i, 0) for i in occ_w] + [(i, 1) for i in occ_t])
-    for (i1, l1), (i2, l2) in zip(merged, merged[1:]):
-        if l1 == l2:
-            return False, i2
-    return True, None
 
 
 def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,

@@ -11,6 +11,9 @@ every length it tries, and so does the Arnoux-Rauzy check.  The condition
 (i) sweeps visit every window of every length, where the library cuts each
 distinct minimal segment once from a sorted suffix table; one tests each
 segment in a radius table, the other compares it with its Theta-image.
+Condition (ii) merges the occurrence lists of each letter and its image,
+where the library makes one pass over v, and equation (4) is checked on
+``Word``s, where the library compares symbol tuples.
 """
 from typing import Optional
 
@@ -21,8 +24,10 @@ from palrich.core import (
     InvariantError,
     Morphism,
     Word,
+    apply_antimorphism,
     apply_morphism,
     factor_tuples,
+    occurrences,
     occurrences_symbols,
     segment_coding,
     symbols_are_theta_palindrome,
@@ -41,8 +46,7 @@ from palrich.decompose import (
 from palrich.generators import ArnouxRauzyReport, DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile, PalIndex
 from palrich.rauzy import special_extensions
-from palrich.returns import CrwReport, CrwViolation, \
-    mirror_bounded_palindromicity, occurrences_alternate
+from palrich.returns import CrwReport, CrwViolation, mirror_bounded_palindromicity
 
 MAX_CANDIDATES = 16     # palindromic prefixes tried by letter_check_theorem2
 
@@ -181,6 +185,16 @@ def letter_check_return_coding(theta: Antimorphism, prefix: Word, p: Word
     return coding, None
 
 
+def word_level_verify_eq4(theta: Antimorphism, phi: Morphism, p: Word,
+                          w: Word) -> bool:
+    """``verify_eq4`` building each side of Theta(phi(w) p) = phi(reverse(w)) p
+    as a ``Word``."""
+    lhs = apply_antimorphism(theta, apply_morphism(phi, w) + p)
+    rev = Word(w.alphabet, tuple(reversed(w.symbols)))
+    rhs = apply_morphism(phi, rev) + p
+    return lhs.symbols == rhs.symbols
+
+
 def letter_check_theorem2(theta: Antimorphism, prefix: Word) -> ReturnWordCoding:
     """``theorem2_decompose`` rejecting each candidate p by its occurrence
     count or by a complete return tested letter by letter."""
@@ -233,7 +247,7 @@ def per_length_theorem1(theta: Antimorphism, prefix: Word,
     sym = prefix.symbols
     specials = _special_tuples(sym, n)
     if not specials:
-        return _periodic_coding(theta, prefix, n)
+        return _periodic_coding(prefix, n)
     chosen: Optional[int] = None
     for cand in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
         sp = specials if cand == n else _special_tuples(sym, cand)
@@ -406,6 +420,27 @@ def window_condition_i(theta2: Antimorphism, v: Word,
         if len(witnesses) >= REPORTED_WITNESSES:
             break
     return witnesses
+
+
+def occurrences_alternate(theta: Antimorphism, prefix: Word,
+                          w: Word) -> tuple[bool, Optional[int]]:
+    """Do occurrences of w and Theta(w) strictly alternate in the prefix?
+
+    Trivially true when w is a Theta-palindrome.  Returns the index of the
+    first occurrence breaking the alternation otherwise.
+    """
+    if theta.alphabet != prefix.alphabet or w.alphabet != prefix.alphabet:
+        raise InputError("alphabet mismatch")
+    tw = theta.image(w.symbols)
+    if tw == w.symbols:
+        return True, None
+    occ_w = occurrences(prefix, w)
+    occ_t = occurrences(prefix, Word(prefix.alphabet, tw))
+    merged = sorted([(i, 0) for i in occ_w] + [(i, 1) for i in occ_t])
+    for (i1, l1), (i2, l2) in zip(merged, merged[1:]):
+        if l1 == l2:
+            return False, i2
+    return True, None
 
 
 def every_letter_condition_ii(theta2: Antimorphism,

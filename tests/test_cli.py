@@ -275,10 +275,15 @@ def _corrupt_morphism(monkeypatch):
     monkeypatch.setattr(palrich.decompose, "apply_morphism", corrupted)
 
 
-@pytest.mark.parametrize("method", ["path", "return"])
-def test_refactorization_mismatch_exit_3(capsys, monkeypatch, method):
+@pytest.mark.parametrize("method, gen", [("path", "fibonacci"),
+                                         ("return", "fibonacci"),
+                                         ("path", "periodic:ab")],
+                         ids=["path", "return", "periodic"])
+def test_refactorization_mismatch_exit_3(capsys, monkeypatch, method, gen):
+    # every recoding, the unary coding of a periodic word included, is
+    # checked by the one refactorization step
     _corrupt_morphism(monkeypatch)
-    code, err = run_error(capsys, "decompose", "--gen", "fibonacci",
+    code, err = run_error(capsys, "decompose", "--gen", gen,
                           "--len", "400", "--method", method)
     assert code == 3
     assert err.startswith("error: internal invariant violated: ")

@@ -40,7 +40,7 @@ from conftest import (
     random_word,
     w,
 )
-from oracles import factor_loop_condition_i
+from oracles import factor_loop_condition_i, word_level_verify_eq4
 
 
 # --- simple-path recoding -----------------------------------------------------
@@ -207,6 +207,48 @@ def test_verify_eq4_detects_corruption(ab, tr):
     broken = Morphism(coding.return_alphabet, ab, tuple([bad] + images[1:]))
     u = Word(coding.return_alphabet, (0, 1))
     assert not verify_eq4(tr, broken, coding.p, u)
+
+
+def _eq4_outcome(check, *args):
+    try:
+        return check(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_verify_eq4_matches_word_level_oracle():
+    # random return codings, corrupted morphisms and every alphabet mismatch
+    rng = random.Random(14)
+    xy = Alphabet(("x", "y"))
+    seen = set()
+    for trial in range(300):
+        theta = random_involution(rng, rng.randint(1, 4))
+        word = random_word(rng, theta, rng.randint(4, 60))
+        p = word.factor(0, rng.randint(1, 3))
+        occ = occurrences(word, p)
+        if len(occ) < 2:
+            continue
+        coding = _return_coding(theta, word, p, occ)
+        phi, b = coding.phi, coding.return_alphabet
+        if trial % 2:
+            images = list(phi.images)
+            images[rng.randrange(len(b))] = random_word(rng, theta, rng.randint(0, 4))
+            phi = Morphism(b, word.alphabet, tuple(images))
+        to_xy = Morphism(b, xy, tuple(Word(xy, (k % 2,) * k) for k in range(len(b))))
+        for _ in range(10):
+            u = Word(b, tuple(rng.randrange(len(b)) for _ in range(rng.randint(0, 6))))
+            for args in ((theta, phi, p, u),
+                         (Antimorphism.reversal(xy), phi, p, u),
+                         (theta, phi, Word(xy, (1,)), u),
+                         (theta, phi, p, Word(xy, (0,))),
+                         (theta, to_xy, p, u),
+                         (Antimorphism.reversal(xy), to_xy, Word(xy, (0, 1)), u)):
+                expected = _eq4_outcome(word_level_verify_eq4, *args)
+                assert _eq4_outcome(verify_eq4, *args) == expected, args
+                seen.add(expected)
+    assert seen == {True, False, "alphabet mismatch",
+                    "cannot concatenate words over different alphabets",
+                    "alphabet mismatch: word is not over the morphism source"}
 
 
 # --- return-word recoding -----------------------------------------------------

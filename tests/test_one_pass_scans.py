@@ -1,6 +1,7 @@
-"""The Arnoux-Rauzy check read from one suffix automaton and condition (i)
-read from the distinct minimal segments of one sorted suffix table, against
-the per-length scans they replaced (``tests/oracles.py``)."""
+"""The Arnoux-Rauzy check read from one suffix automaton, condition (i)
+read from the distinct minimal segments of one sorted suffix table and
+condition (ii) read in one pass, against the per-length and per-letter scans
+they replaced (``tests/oracles.py``)."""
 import itertools
 import random
 from collections import Counter
@@ -144,22 +145,33 @@ def test_tuple_path_matches_oracles():
 
 
 def segment_words(theta: Antimorphism):
-    # every word over 1-3 letters up to 12, 11 and 7 letters
+    # every word over 1-4 letters up to 12, 11, 7 and 6 letters
     k = len(theta.alphabet)
-    for length in range(1, (12, 11, 7)[k - 1] + 1):
+    for length in range(1, (12, 11, 7, 6)[k - 1] + 1):
         for sym in itertools.product(range(k), repeat=length):
             yield Word(theta.alphabet, sym)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def two_pair_involutions():
+    # the three involutions of 4 letters exchanging two pairs: a larger a
+    # often fails condition (ii) first, and the smaller failing a is reported
+    abcd = Alphabet(tuple("abcd"))
+    for pairing in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+        yield Antimorphism(abcd, pairing)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_short_words_match_oracles(k):
-    for theta in every_involution(k):
+    for theta in every_involution(k) if k < 4 else two_pair_involutions():
         for word in segment_words(theta):
             # a short sort key, and lengths past |v|
             for top in (2, len(word) + 4):
                 expected = radius_table_condition_i(theta, word, top)
                 assert window_condition_i(theta, word, top) == expected
                 assert _mirror_bounded_witnesses(theta, word, top) == expected
+            rep = richness_conditions_check(theta, word, 1)
+            assert (rep.condition_ii, rep.condition_ii_witness) == \
+                every_letter_condition_ii(theta, word)
 
 
 def test_path_codings_match_oracles():

@@ -6,12 +6,12 @@ from palrich.core import Alphabet, Antimorphism, InputError, Word, occurrences
 from palrich.returns import (
     crw_palindromicity_scan,
     mirror_bounded_palindromicity,
-    occurrences_alternate,
     return_structure,
     unioccurrent_lps_scan,
 )
 from palrich.generators import fibonacci_source, periodic_source, thue_morse_source
 from conftest import random_involution, random_word, w
+from oracles import occurrences_alternate
 
 
 def test_fibonacci_returns_of_a(ab):
