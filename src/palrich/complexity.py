@@ -192,8 +192,7 @@ def complexity_table(theta: Antimorphism, prefix: Word, max_length: int,
     if safe_length is None:
         safe_length = default_safe_length(len(prefix))
     # P(n) is the number of palindrome nodes of length n, plus epsilon
-    p = Counter(length for _, length
-                in pal_index(theta, prefix.symbols).palindrome_spans())
+    p = Counter(pal_index(theta, prefix.symbols).length[2:])
     p[0] = 1
     top = max_length + 1
     return ComplexityTable(source=source, max_length=max_length,

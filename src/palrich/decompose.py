@@ -23,7 +23,6 @@ from .core import (
     InvariantError,
     Morphism,
     Word,
-    apply_antimorphism,
     apply_morphism,
     occurrences,
     segment_coding,
@@ -356,7 +355,11 @@ class ReturnWordCoding:
 
 def verify_eq3(theta: Antimorphism, p: Word, q: Word) -> bool:
     """Letter-for-letter check of p Theta(q) = q p."""
-    return (p + apply_antimorphism(theta, q)).symbols == (q + p).symbols
+    if theta.alphabet != q.alphabet:
+        raise InputError("alphabet mismatch")
+    if p.alphabet != q.alphabet:
+        raise InputError("cannot concatenate words over different alphabets")
+    return p.symbols + theta.image(q.symbols) == q.symbols + p.symbols
 
 
 def verify_eq4(theta: Antimorphism, phi: Morphism, p: Word, w: Word) -> bool:

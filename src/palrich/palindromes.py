@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .core import (
     Antimorphism,
@@ -22,19 +21,15 @@ from .core import (
 )
 
 
-class _Node:
-    __slots__ = ("length", "link", "next", "first_end", "lps_of")
-
-    def __init__(self, length: int):
-        self.length = length
-        self.link: "_Node" = self  # patched right after construction
-        self.next: dict[int, "_Node"] = {}
-        self.first_end = -1
-        self.lps_of = 0     # non-empty prefixes whose lps this node is
-
-
 class PalIndex:
     """Incremental index of distinct Theta-palindromic factors.
+
+    The tree is stored as parallel columns indexed by node: ``length``,
+    ``link`` (the longest proper Theta-palindromic suffix), ``first_end``
+    (where the node's first occurrence ends) and ``lps_of`` (the non-empty
+    prefixes whose lps, longest Theta-palindromic suffix, it is).  Node 0 is
+    the root of length -1, node 1 the empty palindrome; the edge from node v
+    by letter a is ``_next[v * k + a]``, k the alphabet size.
 
     Single-writer: appends are strictly sequential.  A frozen index is safe
     for concurrent read-only queries.
@@ -42,75 +37,77 @@ class PalIndex:
 
     def __init__(self, theta: Antimorphism):
         self.theta = theta
-        self._pair = theta.pairing
-        self._sym: list[int] = []
-        self._root_m1 = _Node(-1)
-        self._root_0 = _Node(0)
-        self._root_0.link = self._root_m1
-        self._nodes: list[_Node] = [self._root_m1, self._root_0]
-        self._last = self._root_0
+        self._sym: list[int] = [-1]     # a sentinel, then the letters
+        self.length = [-1, 0]
+        self.link = [0, 0]
+        self.first_end = [-1, -1]
+        self.lps_of = [0, 0]
+        self._next: dict[int, int] = {}
+        self._last = 1
 
     # -- queries --------------------------------------------------------------
 
     @property
     def pal_count(self) -> int:
         """#PalTheta of the processed prefix, epsilon included."""
-        return len(self._nodes) - 1
+        return len(self.length) - 1
 
     @property
     def lps_length(self) -> int:
-        return self._last.length
+        return self.length[self._last]
 
     def palindrome_spans(self) -> list[tuple[int, int]]:
         """(start, length) of the first occurrence of each distinct non-empty
         Theta-palindromic factor seen, in order of that occurrence's end."""
-        return [(node.first_end + 1 - node.length, node.length)
-                for node in self._nodes[2:]]
+        return [(end + 1 - n, n)
+                for n, end in zip(self.length[2:], self.first_end[2:])]
 
     # -- construction ---------------------------------------------------------
 
-    def _walk(self, node: _Node, pos: int, ta: int, a: int) -> Optional[_Node]:
-        sym = self._sym
-        while True:
-            length = node.length
-            if length == -1:
-                return node if ta == a else None
-            i = pos - length - 1
-            if i >= 0 and sym[i] == ta:
-                return node
-            node = node.link
-
     def append(self, a: int) -> None:
-        if not 0 <= a < len(self.theta.alphabet):
-            raise InputError(f"invalid letter index {a}")
-        sym = self._sym
-        sym.append(a)
-        pos = len(sym) - 1
-        ta = self._pair[a]
-
-        found = self._walk(self._last, pos, ta, a)
-        if found is None:
-            self._last = self._root_0
-        else:
-            node = found.next.get(a)
-            if node is not None:
-                self._last = node
-            else:
-                node = _Node(found.length + 2)
-                if node.length == 1:
-                    node.link = self._root_0
-                else:
-                    up = self._walk(found.link, pos, ta, a)
-                    node.link = self._root_0 if up is None else up.next[a]
-                node.first_end = pos
-                found.next[a] = node
-                self._nodes.append(node)
-                self._last = node
-        self._last.lps_of += 1
+        self.extend((a,))
 
     def extend(self, symbols) -> None:
-        for s in symbols:
-            self.append(s)
+        symbols = tuple(symbols)
+        pair = self.theta.pairing
+        k = len(pair)
+        if symbols and not (0 <= min(symbols) and max(symbols) < k):
+            bad = next(j for j, a in enumerate(symbols) if not 0 <= a < k)
+            self.extend(symbols[:bad])
+            raise InputError(f"invalid letter index {symbols[bad]}")
+        sym, nxt, last = self._sym, self._next, self._last
+        length, link, first_end, lps_of = \
+            self.length, self.link, self.first_end, self.lps_of
+        for p, a in enumerate(symbols, len(sym) - 1):
+            # v runs down the suffix palindromes of the prefix to the first
+            # one preceded by Theta(a), at sym[p - length[v]]; the root,
+            # node 0, takes a alone if a = Theta(a)
+            sym.append(a)
+            ta = pair[a]
+            v = last
+            while v and sym[p - length[v]] != ta:
+                v = link[v]
+            if not v and a != ta:
+                last = 1
+                lps_of[1] += 1
+                continue
+            key = v * k + a
+            last = nxt.get(key)
+            if last is not None:
+                lps_of[last] += 1
+                continue
+            last = len(length)
+            length.append(length[v] + 2)
+            # the link is the next such suffix extended by a; at the root,
+            # the node of a if it is older than the new node, else empty
+            v = link[v]
+            while v and sym[p - length[v]] != ta:
+                v = link[v]
+            link.append(nxt.get(v * k + a, 1))
+            nxt[key] = last
+            first_end.append(p)
+            lps_of.append(1)
+        self._last = last
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,9 @@ def pal_index(theta: Antimorphism, symbols: tuple) -> PalIndex:
 def pal_prefix_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
     """Lengths L >= 1, ascending, such that symbols[:L] is a Theta-palindrome:
     the palindromes whose first occurrence starts at 0."""
-    return [length for start, length
-            in pal_index(theta, symbols).palindrome_spans() if start == 0]
+    idx = pal_index(theta, symbols)
+    return [n for n, end in zip(idx.length[2:], idx.first_end[2:])
+            if end + 1 == n]
 
 
 def crw_violation_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
@@ -164,8 +162,8 @@ def crw_violation_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:
     Theta(r), a prefix of s, such a return ending earlier.  The roots are left
     out: the lps is empty when a != Theta(a); only non-empty factors count.
     """
-    return [node.length for node in pal_index(theta, symbols)._nodes[2:]
-            if node.lps_of > 1]
+    idx = pal_index(theta, symbols)
+    return [n for n, count in zip(idx.length[2:], idx.lps_of[2:]) if count > 1]
 
 
 def defect(theta: Antimorphism, w: Word) -> int:
@@ -180,8 +178,8 @@ def defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
     _check_same(theta, w)
     # #Pal_k counts the palindromes whose first occurrence ends by k
     first_ends = [0] * (len(w) + 1)
-    for start, length in pal_index(theta, w.symbols).palindrome_spans():
-        first_ends[start + length] += 1
+    for end in pal_index(theta, w.symbols).first_end[2:]:
+        first_ends[end + 1] += 1
     pair = theta.pairing
     classes: set[int] = set()
     values, gammas, pals = [0], [0], [1]

@@ -12,8 +12,10 @@ every length it tries, and so does the Arnoux-Rauzy check.  The condition
 distinct minimal segment once from a sorted suffix table; one tests each
 segment in a radius table, the other compares it with its Theta-image.
 Condition (ii) merges the occurrence lists of each letter and its image,
-where the library makes one pass over v, and equation (4) is checked on
-``Word``s, where the library compares symbol tuples.
+where the library makes one pass over v, and equations (3) and (4) are
+checked on ``Word``s, where the library compares symbol tuples.  The
+palindromic tree keeps one object per node, where the library keeps columns;
+the per-letter loops build it.
 """
 from typing import Optional
 
@@ -44,7 +46,7 @@ from palrich.decompose import (
     verify_eq3,
 )
 from palrich.generators import ArnouxRauzyReport, DirectiveSequence, WordSource
-from palrich.palindromes import DefectProfile, PalIndex
+from palrich.palindromes import DefectProfile
 from palrich.rauzy import special_extensions
 from palrich.returns import CrwReport, CrwViolation, mirror_bounded_palindromicity
 
@@ -124,6 +126,95 @@ def count_theta_palindromes_expand(theta: Antimorphism, w: Word) -> int:
     return len(seen) + 1  # epsilon
 
 
+class _Node:
+    __slots__ = ("length", "link", "next", "first_end", "lps_of")
+
+    def __init__(self, length: int):
+        self.length = length
+        self.link: "_Node" = self  # patched right after construction
+        self.next: dict[int, "_Node"] = {}
+        self.first_end = -1
+        self.lps_of = 0     # non-empty prefixes whose lps this node is
+
+
+class NodePalIndex:
+    """``PalIndex`` with one object per node, holding its length, suffix link,
+    transitions, first end and lps count, each letter appended by its own
+    call: the columnar index is compared with it column by column."""
+
+    def __init__(self, theta: Antimorphism):
+        self.theta = theta
+        self._pair = theta.pairing
+        self._sym: list[int] = []
+        self._root_m1 = _Node(-1)
+        self._root_0 = _Node(0)
+        self._root_0.link = self._root_m1
+        self._nodes: list[_Node] = [self._root_m1, self._root_0]
+        self._last = self._root_0
+
+    # -- queries --------------------------------------------------------------
+
+    @property
+    def pal_count(self) -> int:
+        """#PalTheta of the processed prefix, epsilon included."""
+        return len(self._nodes) - 1
+
+    @property
+    def lps_length(self) -> int:
+        return self._last.length
+
+    def palindrome_spans(self) -> list[tuple[int, int]]:
+        """(start, length) of the first occurrence of each distinct non-empty
+        Theta-palindromic factor seen, in order of that occurrence's end."""
+        return [(node.first_end + 1 - node.length, node.length)
+                for node in self._nodes[2:]]
+
+    # -- construction ---------------------------------------------------------
+
+    def _walk(self, node: _Node, pos: int, ta: int, a: int) -> Optional[_Node]:
+        sym = self._sym
+        while True:
+            length = node.length
+            if length == -1:
+                return node if ta == a else None
+            i = pos - length - 1
+            if i >= 0 and sym[i] == ta:
+                return node
+            node = node.link
+
+    def append(self, a: int) -> None:
+        if not 0 <= a < len(self.theta.alphabet):
+            raise InputError(f"invalid letter index {a}")
+        sym = self._sym
+        sym.append(a)
+        pos = len(sym) - 1
+        ta = self._pair[a]
+
+        found = self._walk(self._last, pos, ta, a)
+        if found is None:
+            self._last = self._root_0
+        else:
+            node = found.next.get(a)
+            if node is not None:
+                self._last = node
+            else:
+                node = _Node(found.length + 2)
+                if node.length == 1:
+                    node.link = self._root_0
+                else:
+                    up = self._walk(found.link, pos, ta, a)
+                    node.link = self._root_0 if up is None else up.next[a]
+                node.first_end = pos
+                found.next[a] = node
+                self._nodes.append(node)
+                self._last = node
+        self._last.lps_of += 1
+
+    def extend(self, symbols) -> None:
+        for s in symbols:
+            self.append(s)
+
+
 def occurrence_count(w: Word, f: Word) -> int:
     """Occurrences of the factor f in w, found one by one."""
     return len(occurrences_symbols(w.symbols, f.symbols))
@@ -131,7 +222,7 @@ def occurrence_count(w: Word, f: Word) -> int:
 
 def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     """``crw_palindromicity_scan`` testing each complete return letter by letter."""
-    idx = PalIndex(theta)
+    idx = NodePalIndex(theta)
     sym = prefix.symbols
     idx.extend(sym)
     pair = theta.pairing
@@ -183,6 +274,11 @@ def letter_check_return_coding(theta: Antimorphism, prefix: Word, p: Word
         tail_length=len(sym) - occ[-1],
         eq3_ok=all(verify_eq3(theta, p, q) for q in ret_words))
     return coding, None
+
+
+def word_level_verify_eq3(theta: Antimorphism, p: Word, q: Word) -> bool:
+    """``verify_eq3`` building p Theta(q) and q p as ``Word``s."""
+    return (p + apply_antimorphism(theta, q)).symbols == (q + p).symbols
 
 
 def word_level_verify_eq4(theta: Antimorphism, phi: Morphism, p: Word,
@@ -510,7 +606,7 @@ def factor_set_closed_under_theta(theta: Antimorphism, prefix: Word,
 def append_loop_pal_prefix_lengths(theta: Antimorphism, prefix: Word) -> list[int]:
     """Lengths L >= 1 with prefix[:L] a Theta-palindrome: the lps after
     appending L letters is the whole prefix."""
-    idx = PalIndex(theta)
+    idx = NodePalIndex(theta)
     out = []
     for k, s in enumerate(prefix.symbols, start=1):
         idx.append(s)
@@ -522,7 +618,7 @@ def append_loop_pal_prefix_lengths(theta: Antimorphism, prefix: Word) -> list[in
 def append_loop_defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
     """Defect profile with #Pal read off the index after each append and
     gamma counted from the pairs met so far."""
-    idx = PalIndex(theta)
+    idx = NodePalIndex(theta)
     pair = theta.pairing
     met: set[frozenset] = set()
     values, gammas, pals = [0], [0], [1]
@@ -539,7 +635,7 @@ def append_loop_defect_profile(theta: Antimorphism, w: Word) -> DefectProfile:
 
 class AppendLoopClosureSource(WordSource):
     """``ClosureSource`` completing each step to the closure through a
-    private ``PalIndex``: the longest Theta-palindromic suffix of w_k a, read
+    private ``NodePalIndex``: the longest Theta-palindromic suffix of w_k a, read
     after appending every letter, decides what to append next."""
 
     kind = "theta_standard_seed"
@@ -548,7 +644,7 @@ class AppendLoopClosureSource(WordSource):
         self.alphabet = theta.alphabet
         self.directive = directive
         self._pair = theta.pairing
-        self._idx = PalIndex(theta)
+        self._idx = NodePalIndex(theta)
         self._buf: list[int] = []
         self._steps = 0
         self._close(list(seed.symbols))

@@ -40,7 +40,8 @@ from conftest import (
     random_word,
     w,
 )
-from oracles import factor_loop_condition_i, word_level_verify_eq4
+from oracles import factor_loop_condition_i, word_level_verify_eq3, \
+    word_level_verify_eq4
 
 
 # --- simple-path recoding -----------------------------------------------------
@@ -209,11 +210,37 @@ def test_verify_eq4_detects_corruption(ab, tr):
     assert not verify_eq4(tr, broken, coding.p, u)
 
 
-def _eq4_outcome(check, *args):
+def _check_outcome(check, *args):
     try:
         return check(*args)
     except InputError as exc:
         return str(exc)
+
+
+def test_verify_eq3_matches_word_level_oracle():
+    # return words of random prefixes, random q and every alphabet mismatch
+    rng = random.Random(15)
+    xy = Alphabet(("x", "y"))
+    seen = set()
+    for _ in range(300):
+        theta = random_involution(rng, rng.randint(1, 4))
+        word = random_word(rng, theta, rng.randint(4, 60))
+        p = word.factor(0, rng.randint(1, 3))
+        occ = occurrences(word, p)
+        qs = [word.factor(i, j) for i, j in zip(occ, occ[1:])]
+        qs.append(random_word(rng, theta, rng.randint(0, 4)))
+        for q in qs:
+            for args in ((theta, p, q),
+                         (theta, word.factor(0, 0), q),
+                         (Antimorphism.reversal(xy), p, q),
+                         (theta, Word(xy, (1,)), q),
+                         (theta, p, Word(xy, (0,))),
+                         (Antimorphism.reversal(xy), Word(xy, (0, 1)), q)):
+                expected = _check_outcome(word_level_verify_eq3, *args)
+                assert _check_outcome(verify_eq3, *args) == expected, args
+                seen.add(expected)
+    assert seen == {True, False, "alphabet mismatch",
+                    "cannot concatenate words over different alphabets"}
 
 
 def test_verify_eq4_matches_word_level_oracle():
@@ -243,8 +270,8 @@ def test_verify_eq4_matches_word_level_oracle():
                          (theta, phi, p, Word(xy, (0,))),
                          (theta, to_xy, p, u),
                          (Antimorphism.reversal(xy), to_xy, Word(xy, (0, 1)), u)):
-                expected = _eq4_outcome(word_level_verify_eq4, *args)
-                assert _eq4_outcome(verify_eq4, *args) == expected, args
+                expected = _check_outcome(word_level_verify_eq4, *args)
+                assert _check_outcome(verify_eq4, *args) == expected, args
                 seen.add(expected)
     assert seen == {True, False, "alphabet mismatch",
                     "cannot concatenate words over different alphabets",

@@ -149,14 +149,23 @@ def test_analyze_builds_one_suffix_automaton(capsys, monkeypatch):
       "--seed-word", "ab", "--directive", "(ab)"], 402),
 ])
 def test_closure_words_append_each_letter_once(capsys, monkeypatch, argv, appends):
-    letters = []
-    append = PalIndex.append
+    # letters given to append or extend from outside the index; append is a
+    # one-letter extend, so the call it makes is not counted again
+    sizes, depth = [], []
 
-    def counting_append(self, a):
-        letters.append(a)
-        return append(self, a)
-    monkeypatch.setattr(PalIndex, "append", counting_append)
+    def counting(method, size):
+        def wrapper(self, arg):
+            if not depth:
+                sizes.append(size(arg))
+            depth.append(method)
+            try:
+                return method(self, arg)
+            finally:
+                depth.pop()
+        return wrapper
+    monkeypatch.setattr(PalIndex, "append", counting(PalIndex.append, lambda a: 1))
+    monkeypatch.setattr(PalIndex, "extend", counting(PalIndex.extend, len))
     pal_index.cache_clear()
     assert main(["analyze", *argv, "--len", "400"]) == 0
     capsys.readouterr()
-    assert len(letters) == appends
+    assert sum(sizes) == appends
