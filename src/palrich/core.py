@@ -55,6 +55,20 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def width(self) -> int:
+        """Bytes per letter of every encoded word: 1 up to 256 letters."""
+        return max(1, ((len(self.letters) - 1).bit_length() + 7) // 8)
+
+    @cached_property
+    def _joiner(self) -> str:
+        return "" if all(len(t) == 1 for t in self.letters) else " "
+
+    def spell(self, symbols) -> str:
+        """The text of a symbol sequence: tokens joined with "" when every
+        token is one character, else with " "."""
+        return self._joiner.join([self.letters[s] for s in symbols])
+
 
 @dataclass(frozen=True)
 class Antimorphism:
@@ -143,10 +157,7 @@ class Word:
 
     @property
     def text(self) -> str:
-        toks = [self.alphabet.letters[s] for s in self.symbols]
-        if all(len(t) == 1 for t in self.alphabet.letters):
-            return "".join(toks)
-        return " ".join(toks)
+        return self.alphabet.spell(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -154,16 +165,10 @@ class Word:
     def factor(self, start: int, end: int) -> "Word":
         return Word(self.alphabet, self.symbols[start:end])
 
-    def __add__(self, other: "Word") -> "Word":
-        if other.alphabet != self.alphabet:
-            raise InputError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.symbols + other.symbols)
-
     @cached_property
-    def _bytes(self) -> Optional[bytes]:
-        if len(self.alphabet) > 256:
-            return None
-        return bytes(self.symbols)
+    def encoded(self) -> bytes:
+        """The letters as ``alphabet.width`` big-endian bytes each."""
+        return encode(self.symbols, self.alphabet.width)
 
     def __repr__(self) -> str:
         return f"Word({self.text!r})"
@@ -212,33 +217,42 @@ def gamma(theta: Antimorphism, w: Word) -> int:
     return len(pairs)
 
 
+def encode(symbols, width: int) -> bytes:
+    """Letter indices as ``width`` big-endian bytes each, which keeps the
+    order of equal-length tuples; for width 1, ``bytes`` builds them at once."""
+    if width == 1:
+        return bytes(symbols)
+    return b"".join([a.to_bytes(width, "big") for a in symbols])
+
+
+def find(text: bytes, needle: bytes, width: int, start: int = 0,
+         end: Optional[int] = None) -> int:
+    """First offset of ``needle`` in ``text[start:end]`` at a multiple of
+    ``width`` (as ``start`` is), or -1: other hits straddle two letters."""
+    i = text.find(needle, start, end)
+    while i % width and i > 0:
+        i = text.find(needle, i + width - i % width, end)
+    return i
+
+
+def find_all(text: bytes, needle: bytes, width: int) -> list[int]:
+    """Every offset ``find`` hits, overlapping ones included, ascending."""
+    out: list[int] = []
+    i = find(text, needle, width)
+    while i != -1:
+        out.append(i)
+        i = find(text, needle, width, i + width)
+    return out
+
+
 def occurrences(w: Word, f: Word) -> list[int]:
     """All (possibly overlapping) occurrence indices of f in w, ascending."""
     if len(f) == 0:
         raise InputError("occurrences of the empty word are not defined here")
     if f.alphabet != w.alphabet:
         raise InputError("alphabet mismatch")
-    return occurrences_symbols(w.symbols, f.symbols, w._bytes, f._bytes)
-
-
-def occurrences_symbols(hay, needle, hay_b=None, needle_b=None) -> list[int]:
-    # the bytes fast path needs every symbol of both hay and needle below 256
-    if hay_b is None and max(hay, default=0) < 256:
-        hay_b = bytes(hay)
-    if needle_b is None and hay_b is not None and max(needle, default=0) < 256:
-        needle_b = bytes(needle)
-    out: list[int] = []
-    if hay_b is not None and needle_b is not None:
-        i = hay_b.find(needle_b)
-        while i != -1:
-            out.append(i)
-            i = hay_b.find(needle_b, i + 1)
-        return out
-    n, m = len(hay), len(needle)
-    for i in range(n - m + 1):
-        if hay[i:i + m] == needle:
-            out.append(i)
-    return out
+    width = w.alphabet.width
+    return [i // width for i in find_all(w.encoded, f.encoded, width)]
 
 
 def segment_coding(symbols, starts, tail: int) -> tuple[list[tuple], list[int]]:

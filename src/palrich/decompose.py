@@ -24,6 +24,8 @@ from .core import (
     Morphism,
     Word,
     apply_morphism,
+    encode,
+    find,
     occurrences,
     segment_coding,
 )
@@ -181,7 +183,7 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
         if te not in letter_of:
             raise DecomposeError(
                 "Theta-image of a simple path not witnessed; prefix too short",
-                {"n": chosen, "path": Word(prefix.alphabet, e).text})
+                {"n": chosen, "path": prefix.alphabet.spell(e)})
         pairing.append(letter_of[te])
 
     letters = tuple(f"[{k}]" for k in range(len(paths)))
@@ -229,21 +231,8 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
     # occurrence of u is one.  A table of suffixes sorted by their first
     # 2 * max_factor_len letters holds those starting with a shorter u in one
     # block, cut once; a longer u is cut at each of its occurrences.
-    sym, pair = v_prefix.symbols, theta2.pairing
-    # fixed-width big-endian letters (only aligned find hits count over more
-    # than 256 letters); Theta(seq[i:j]) is mirror[n - j:n - i]
-    width = 1 if v_prefix._bytes is not None else (len(pair).bit_length() + 7) // 8
-    code = [a.to_bytes(width, "big") for a in range(len(pair))]
-    seq = b"".join(code[a] for a in sym)
-    mirror = b"".join(code[a] for a in theta2.image(sym))
-
-    def aligned_find(f, start, end):
-        i = seq.find(f, start, end)
-        while i > 0 and i % width:
-            i = seq.find(f, i + 1, end)
-        return i
-    find = seq.find if width == 1 else aligned_find
-
+    sym, seq, width = v_prefix.symbols, v_prefix.encoded, v_prefix.alphabet.width
+    mirror = encode(theta2.image(sym), width)   # Theta(seq[i:j]) is mirror[n - j:n - i]
     top = min(max_factor_len, len(sym))
     n, span = len(seq), top * width
     sa = sorted(range(0, n, width), key=lambda i: seq[i:i + 2 * span])
@@ -266,9 +255,9 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
             first, j = min(sa[s:e]), (s if tx in runs else e)  # Theta(x) must occur
             while j < e:
                 i1 = sa[j]
-                q = find(x, i1 + width, n)
-                t = q if tx == x else find(tx, i1 + width,
-                                            n if q < 0 else q + size - width)
+                q = find(seq, x, width, i1 + width, n)
+                t = q if tx == x else find(seq, tx, width, i1 + width,
+                                           n if q < 0 else q + size - width)
                 mark = t if t >= 0 else q
                 u = seq[i1:mark + size]
                 k = j + 1 if mark < 0 or len(u) > 2 * span else bisect_right(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    Alphabet,
     Antimorphism,
     InputError,
     Word,
@@ -94,7 +95,7 @@ class GraphEdge:
 @dataclass(frozen=True)
 class SuperReducedRauzyGraph:
     n: int
-    alphabet_letters: tuple[str, ...]
+    alphabet: Alphabet
     vertices: frozenset[tuple[tuple, tuple]]
     edges: tuple[GraphEdge, ...]
 
@@ -106,23 +107,19 @@ class SuperReducedRauzyGraph:
     def non_loop_edges(self) -> tuple[GraphEdge, ...]:
         return tuple(e for e in self.edges if not e.is_loop)
 
-    def _label(self, sym: tuple) -> str:
-        toks = [self.alphabet_letters[s] for s in sym]
-        joiner = "" if all(len(t) == 1 for t in self.alphabet_letters) else " "
-        return joiner.join(toks)
-
     def to_dot(self) -> str:
         """Deterministic DOT rendering; vertices labeled "w|theta(w)"."""
+        spell = self.alphabet.spell
         verts = sorted(self.vertices)
         names = {v: f"v{i}" for i, v in enumerate(verts)}
         lines = ["graph rauzy {"]
         for v in verts:
-            label = f"{self._label(v[0])}|{self._label(v[1])}"
+            label = f"{spell(v[0])}|{spell(v[1])}"
             lines.append(f'  {names[v]} [label="{label}"];')
         for e in sorted(self.edges, key=lambda e: (e.endpoints, e.words)):
             a, b = e.endpoints
             w1, w2 = e.words
-            label = self._label(w1) if w1 == w2 else f"{self._label(w1)}|{self._label(w2)}"
+            label = spell(w1) if w1 == w2 else f"{spell(w1)}|{spell(w2)}"
             lines.append(f'  {names[a]} -- {names[b]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -152,7 +149,7 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
         v2 = _canon_pair(e[-n:], timage(e[-n:]))
         edges.append(GraphEdge(words=key, endpoints=_canon_pair(v1, v2)))
     edges.sort(key=lambda e: (e.endpoints, e.words))
-    return SuperReducedRauzyGraph(n=n, alphabet_letters=prefix.alphabet.letters,
+    return SuperReducedRauzyGraph(n=n, alphabet=prefix.alphabet,
                                   vertices=vertices, edges=tuple(edges))
 
 

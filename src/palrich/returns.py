@@ -14,8 +14,8 @@ from .core import (
     Antimorphism,
     InputError,
     Word,
+    find_all,
     occurrences,
-    occurrences_symbols,
     segment_coding,
     symbols_are_theta_palindrome,
 )
@@ -117,32 +117,31 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     """
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
-    sym = prefix.symbols
-    # bytes slices where the alphabet allows take an eighth of the memory of
-    # tuples; the palindromes of 4000 Fibonacci letters hold six million
-    seq = sym if prefix._bytes is None else prefix._bytes
-    pals = [seq[start:start + length]
+    sym, seq, width = prefix.symbols, prefix.encoded, prefix.alphabet.width
+    # bytes slices take an eighth of the memory of tuples; the palindromes of
+    # 4000 Fibonacci letters hold six million letters.  Big-endian letters
+    # sort by (length, bytes) in letter order.
+    pals = [seq[start * width:(start + length) * width]
             for start, length in pal_index(theta, sym).palindrome_spans()]
     # every complete return is a factor of the prefix, so it is a
     # Theta-palindrome exactly when it is one of the prefix's palindromes
     pal_set = set(pals)
     violations: list[CrwViolation] = []
-    checked = 0
-    worst = 0
+    checked = worst = 0
     for p in sorted(pals, key=lambda x: (len(x), x)):
-        occ = occurrences_symbols(seq, p, prefix._bytes)
+        occ = find_all(seq, p, width)     # byte offsets
         if len(occ) < 2:
             continue
         checked += 1
-        bad = [cr for cr in segment_coding(seq, occ, len(p))[0]
-               if cr not in pal_set]
-        if bad:
-            ab = prefix.alphabet
-            factor = Word(ab, tuple(p))
-            violations.extend(CrwViolation(factor=factor,
-                                           complete_return=Word(ab, tuple(cr)))
-                              for cr in bad)
-            worst = max(worst, len(p))
+        returns, coding = segment_coding(seq, occ, len(p))
+        bad = [k for k, cr in enumerate(returns) if cr not in pal_set]
+        if bad:     # spelled in letters from the prefix, where each first occurs
+            ab, worst = prefix.alphabet, len(p) // width
+            factor = Word(ab, sym[occ[0] // width:occ[0] // width + worst])
+            for k in bad:
+                a = occ[coding.index(k)] // width
+                violations.append(CrwViolation(
+                    factor, Word(ab, sym[a:a + len(returns[k]) // width])))
     return CrwReport(checked_factors=checked, violations=tuple(violations),
                      empirical_threshold=worst + 1)
 

@@ -69,12 +69,6 @@ def lps_word(idx: PalIndex, word: Word) -> Word:
     return word.factor(len(word) - idx.lps_length, len(word))
 
 
-def brute_occurrences(word: Word, f: Word) -> list:
-    m = len(f)
-    return [i for i in range(len(word) - m + 1)
-            if word.symbols[i:i + m] == f.symbols]
-
-
 def random_involution(rng: random.Random, size: int) -> Antimorphism:
     alphabet = Alphabet(tuple("abcdefgh"[:size]))
     idx = list(range(size))

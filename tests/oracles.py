@@ -15,7 +15,9 @@ Condition (ii) merges the occurrence lists of each letter and its image,
 where the library makes one pass over v, and equations (3) and (4) are
 checked on ``Word``s, where the library compares symbol tuples.  The
 palindromic tree keeps one object per node, where the library keeps columns;
-the per-letter loops build it.
+the per-letter loops build it.  Occurrences are found by comparing a tuple
+slice at every position, where the library searches encoded bytes, and the
+condition (i) sweeps choose bytes or tuples from the letters they meet.
 """
 from typing import Optional
 
@@ -30,7 +32,6 @@ from palrich.core import (
     apply_morphism,
     factor_tuples,
     occurrences,
-    occurrences_symbols,
     segment_coding,
     symbols_are_theta_palindrome,
 )
@@ -215,9 +216,22 @@ class NodePalIndex:
             self.append(s)
 
 
+def slice_occurrences(hay: tuple, needle: tuple) -> list[int]:
+    """``core.occurrences`` on symbol tuples: every position's slice compared."""
+    m = len(needle)
+    return [i for i in range(len(hay) - m + 1) if hay[i:i + m] == needle]
+
+
+def concat(u: Word, v: Word) -> Word:
+    """The word u v; both must be over one alphabet."""
+    if u.alphabet != v.alphabet:
+        raise InputError("cannot concatenate words over different alphabets")
+    return Word(u.alphabet, u.symbols + v.symbols)
+
+
 def occurrence_count(w: Word, f: Word) -> int:
     """Occurrences of the factor f in w, found one by one."""
-    return len(occurrences_symbols(w.symbols, f.symbols))
+    return len(slice_occurrences(w.symbols, f.symbols))
 
 
 def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
@@ -231,7 +245,7 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     worst = 0
     pals = [sym[start:start + length] for start, length in idx.palindrome_spans()]
     for p in sorted(pals, key=lambda x: (len(x), x)):
-        occ = occurrences_symbols(sym, p, prefix._bytes)
+        occ = slice_occurrences(sym, p)
         if len(occ) < 2:
             continue
         checked += 1
@@ -254,7 +268,7 @@ def letter_check_return_coding(theta: Antimorphism, prefix: Word, p: Word
     Theta-palindrome when tested letter by letter."""
     sym = prefix.symbols
     m = len(p)
-    occ = occurrences_symbols(sym, p.symbols)
+    occ = slice_occurrences(sym, p.symbols)
     if len(occ) < 3:
         return None, {"p": p.text, "reason": "fewer than 3 occurrences"}
     complete, v_sym = segment_coding(sym, occ, m)
@@ -278,16 +292,16 @@ def letter_check_return_coding(theta: Antimorphism, prefix: Word, p: Word
 
 def word_level_verify_eq3(theta: Antimorphism, p: Word, q: Word) -> bool:
     """``verify_eq3`` building p Theta(q) and q p as ``Word``s."""
-    return (p + apply_antimorphism(theta, q)).symbols == (q + p).symbols
+    return concat(p, apply_antimorphism(theta, q)).symbols == concat(q, p).symbols
 
 
 def word_level_verify_eq4(theta: Antimorphism, phi: Morphism, p: Word,
                           w: Word) -> bool:
     """``verify_eq4`` building each side of Theta(phi(w) p) = phi(reverse(w)) p
     as a ``Word``."""
-    lhs = apply_antimorphism(theta, apply_morphism(phi, w) + p)
+    lhs = apply_antimorphism(theta, concat(apply_morphism(phi, w), p))
     rev = Word(w.alphabet, tuple(reversed(w.symbols)))
-    rhs = apply_morphism(phi, rev) + p
+    rhs = concat(apply_morphism(phi, rev), p)
     return lhs.symbols == rhs.symbols
 
 
@@ -434,21 +448,26 @@ def theta_pal_radii(pairing, seq) -> list[int]:
     return radii
 
 
+def window_text(theta2: Antimorphism, v: Word):
+    """v as bytes with Theta as a reversed ``translate`` when its letters and
+    their images are all below 256 (whatever the alphabet size), else as the
+    symbol tuple with ``Antimorphism.image``."""
+    used = set(v.symbols)
+    images = {a: theta2.pairing[a] for a in used}
+    if max((*used, *images.values()), default=0) >= 256:
+        return v.symbols, theta2.image
+    table = bytearray(range(256))
+    for a, b in images.items():
+        table[a] = b
+    return bytes(v.symbols), lambda f: f[::-1].translate(table)
+
+
 def radius_table_condition_i(theta2: Antimorphism, v: Word,
                              max_factor_len: int) -> list[Word]:
     """``decompose._mirror_bounded_witnesses`` as one sweep of every window
     per length, testing each minimal segment in a Theta-palindrome radius
     table built once per word."""
-    if v._bytes is None:
-        seq = v.symbols
-        image = theta2.image
-    else:
-        seq = v._bytes
-        pair = theta2.pairing
-        table = bytes(pair) + bytes(range(len(pair), 256))
-
-        def image(f):
-            return f[::-1].translate(table)
+    seq, image = window_text(theta2, v)
     radii = theta_pal_radii(theta2.pairing, seq)
     witnesses: list[Word] = []
     for length in range(1, min(max_factor_len, len(seq)) + 1):
@@ -481,16 +500,7 @@ def window_condition_i(theta2: Antimorphism, v: Word,
     """``radius_table_condition_i`` testing each minimal segment by
     comparing it with its Theta-image, and taking the class of each window
     with one ``min``."""
-    if v._bytes is None:
-        seq = v.symbols
-        image = theta2.image
-    else:
-        seq = v._bytes
-        pair = theta2.pairing
-        table = bytes(pair) + bytes(range(len(pair), 256))
-
-        def image(f):
-            return f[::-1].translate(table)
+    seq, image = window_text(theta2, v)
     witnesses: list[Word] = []
     for length in range(1, min(max_factor_len, len(seq)) + 1):
         seen: dict = {}     # factor -> (its Theta-image, first occurrence)

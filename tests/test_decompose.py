@@ -40,7 +40,7 @@ from conftest import (
     random_word,
     w,
 )
-from oracles import factor_loop_condition_i, word_level_verify_eq3, \
+from oracles import concat, factor_loop_condition_i, word_level_verify_eq3, \
     word_level_verify_eq4
 
 
@@ -182,7 +182,7 @@ def test_eq3_is_the_complete_return_check_exhaustively():
                      for sym in itertools.product(range(k), repeat=length)]
             for p in (p for p in words if brute_is_theta_pal(theta, p)):
                 for q in words:
-                    complete_return_ok = brute_is_theta_pal(theta, q + p)
+                    complete_return_ok = brute_is_theta_pal(theta, concat(q, p))
                     assert verify_eq3(theta, p, q) == complete_return_ok
                     pairs += 1
                     palindromic += complete_return_ok

@@ -1,0 +1,187 @@
+"""Every alphabet searched as fixed-width big-endian bytes: the aligned core
+``find`` and its readers against the tuple-slice oracles, over 2, 255, 256,
+257 and 300 letters.  From 257 letters on, each letter takes two bytes, and
+a hit that straddles two letters must not count: letters 1 and 256 encode
+as ``\\x00\\x01\\x01\\x00``, which holds letter 257's ``\\x01\\x01``."""
+import json
+import random
+
+import pytest
+
+from palrich.cli import main
+from palrich.core import Alphabet, Antimorphism, Word, encode, find, occurrences
+from palrich.decompose import _mirror_bounded_witnesses
+from palrich.generators import DirectiveSequence, fibonacci_source, \
+    theta_standard_with_seed_source
+from palrich.returns import crw_palindromicity_scan
+from oracles import letter_check_crw_scan, radius_table_condition_i, \
+    slice_occurrences
+
+SIZES = (2, 255, 256, 257, 300)
+
+
+def alphabet(k: int) -> Alphabet:
+    # zero-padded, so the sorted tokens of a word file keep index order
+    return Alphabet(tuple(f"x{i:03d}" for i in range(k)))
+
+
+def pool(k: int) -> list[int]:
+    # the letters around the byte boundary that each alphabet has
+    return sorted({0, 1, 2, 255, 256, 257, k - 1} & set(range(k)))
+
+
+def random_theta(rng: random.Random, ab: Alphabet, letters: list[int]) -> Antimorphism:
+    # pairs some of the drawn letters with each other, and the rest of the
+    # alphabet at random, so the words hold Theta-palindromes
+    pairing = list(range(len(ab)))
+    for order in (rng.sample(letters, len(letters)),
+                  rng.sample(range(len(ab)), len(ab))):
+        free = [a for a in order if pairing[a] == a]
+        while len(free) >= 2 and rng.random() < 0.7:
+            a, b = free.pop(), free.pop()
+            pairing[a], pairing[b] = b, a
+    return Antimorphism(ab, tuple(pairing))
+
+
+def random_words(rng: random.Random, ab: Alphabet, count: int, top: int):
+    letters = pool(len(ab))
+    for _ in range(count):
+        used = rng.sample(letters, rng.randint(1, min(3, len(letters))))
+        if rng.random() < 0.5:      # near-periodic words have long factors
+            period = [rng.choice(used) for _ in range(rng.randint(1, 5))]
+            sym = [period[i % len(period)] for i in range(rng.randint(0, top))]
+            for _ in range(rng.randint(0, 3)):
+                if sym:
+                    sym[rng.randrange(len(sym))] = rng.choice(used)
+        else:
+            sym = [rng.choice(used) for _ in range(rng.randint(0, top))]
+        yield Word(ab, tuple(sym))
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_width_and_encoding(k):
+    ab = alphabet(k)
+    assert ab.width == (1 if k <= 256 else 2)
+    word = Word(ab, tuple(pool(k)) * 2)
+    if k <= 256:
+        assert word.encoded == bytes(word.symbols)
+    assert len(word.encoded) == ab.width * len(word)
+    # big-endian: equal-length words sort alike as bytes and as tuples
+    words = [Word(ab, (a, b)) for a in pool(k) for b in pool(k)]
+    assert sorted(words, key=lambda u: u.encoded) == \
+        sorted(words, key=lambda u: u.symbols)
+
+
+def test_unaligned_hits_do_not_count():
+    ab = alphabet(300)
+    hay = Word(ab, (1, 256))
+    assert hay.encoded == b"\x00\x01\x01\x00"
+    assert hay.encoded.find(encode((257,), 2)) == 1
+    assert occurrences(hay, Word(ab, (257,))) == []
+    assert find(hay.encoded, encode((257,), 2), 2) == -1
+    # a needle of two letters straddling three: 0 256 0 holds (1, 0) at byte 1
+    assert occurrences(Word(ab, (0, 256, 0, 1, 0)), Word(ab, (1, 0))) == [3]
+    assert find(b"\x00\x00\x01\x00\x00\x00", b"\x01\x00", 2, 0, 4) == 2
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_occurrences_match_tuple_loop(k):
+    rng = random.Random(k)
+    ab = alphabet(k)
+    for word in random_words(rng, ab, 150, 40):
+        for _ in range(4):
+            if word.symbols and rng.random() < 0.7:
+                i = rng.randrange(len(word))
+                f = word.factor(i, rng.randint(i + 1, min(len(word), i + 6)))
+            else:
+                f = Word(ab, tuple(rng.choice(pool(k))
+                                   for _ in range(rng.randint(1, 3))))
+            assert occurrences(word, f) == slice_occurrences(word.symbols, f.symbols)
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_crw_scan_matches_oracle(k):
+    rng = random.Random(100 + k)
+    ab = alphabet(k)
+    for word in random_words(rng, ab, 60, 60):
+        theta = random_theta(rng, ab, pool(k))
+        assert crw_palindromicity_scan(theta, word) == letter_check_crw_scan(theta, word)
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_condition_i_matches_oracle(k):
+    rng = random.Random(200 + k)
+    ab = alphabet(k)
+    for word in random_words(rng, ab, 40, 60):
+        theta = random_theta(rng, ab, pool(k))
+        for top in (1, 2, 4, 7):
+            assert _mirror_bounded_witnesses(theta, word, top) == \
+                radius_table_condition_i(theta, word, top)
+
+
+def test_crw_threshold_counts_letters():
+    # one more than the longest violating factor, in letters whatever the
+    # width: aa has the complete return aababbaa, which is no palindrome
+    for k in SIZES:
+        ab = alphabet(k)
+        a, b = pool(k)[-2:]
+        word = Word(ab, tuple((a, b)[c == "b"] for c in "aababbaa"))
+        report = crw_palindromicity_scan(Antimorphism.reversal(ab), word)
+        assert report.empirical_threshold == 3, k
+        assert [(v.factor.symbols, v.complete_return.symbols)
+                for v in report.violations] == [((a, a), word.symbols)]
+
+
+def respell(value, tokens: dict):
+    # a string made of the tokens alone, spelled over the two letters
+    if isinstance(value, str):
+        parts = value.split(" ")
+        if value and all(p in tokens for p in parts):
+            return "".join(tokens[p] for p in parts)
+        return value
+    if isinstance(value, list):
+        return [respell(v, tokens) for v in value]
+    if isinstance(value, dict):
+        return {key: respell(v, tokens) for key, v in value.items()}
+    return value
+
+
+def decompose_report(tmp_path, text: str, theta: str, method: str):
+    path = tmp_path / "word.txt"
+    path.write_text(text)
+    out = tmp_path / "report.json"
+    code = main(["decompose", "--word-file", str(path), "--tokens", "--len",
+                 "2000", "--theta", theta, "--method", method, "--n", "1",
+                 "--out", str(out)])
+    report = json.loads(out.read_text())
+    del report["input"], report["antimorphism"]
+    return code, report
+
+
+@pytest.mark.parametrize("k", SIZES[1:])
+@pytest.mark.parametrize("method", ["path", "return"])
+@pytest.mark.parametrize("word", ["fibonacci", "ts_exchange"])
+def test_decompose_reports_match_two_letters(tmp_path, k, method, word):
+    # the same word spelled over letters 1 and k - 1 of k, with every token
+    # listed after the prefix so that the file's alphabet keeps k letters
+    ab = alphabet(k)
+    a, b = ab.letters[1], ab.letters[k - 1]
+    if word == "fibonacci":
+        prefix = fibonacci_source().prefix(2000)
+        theta_two = theta_many = "reversal"
+    else:
+        swap = Antimorphism.from_pairs(Alphabet(("a", "b")), [("a", "b")])
+        prefix = theta_standard_with_seed_source(
+            swap, Word(swap.alphabet, ()),
+            DirectiveSequence.parse(swap.alphabet, "", "ab")).prefix(2000)
+        theta_two, theta_many = "pairs:a-b", str(tmp_path / "theta.json")
+        (tmp_path / "theta.json").write_text(json.dumps({
+            "letters": list(ab.letters),
+            "pairs": [[a, b]] + [[t, t] for t in ab.letters if t not in (a, b)]}))
+    two = decompose_report(tmp_path, " ".join("ab"[s] for s in prefix.symbols),
+                           theta_two, method)
+    many = decompose_report(
+        tmp_path, " ".join((a, b)[s] for s in prefix.symbols) + "\n"
+        + " ".join(ab.letters), theta_many, method)
+    assert many[0] == two[0]
+    assert respell(many[1], {a: "a", b: "b"}) == two[1]

@@ -14,7 +14,7 @@ from palrich.generators import (
     tribonacci_source,
 )
 from conftest import random_involution, random_word, w
-from oracles import AppendLoopClosureSource
+from oracles import AppendLoopClosureSource, concat
 
 
 def test_directive_sequence(ab):
@@ -58,7 +58,7 @@ def test_tribonacci_matches_manual_closure():
     word = Word(abc, ())
     src = tribonacci_source()
     for letter in "abcabcabc":
-        word = theta_pal_closure(tr, word + Word.from_text(abc, letter))
+        word = theta_pal_closure(tr, concat(word, Word.from_text(abc, letter)))
         assert src.prefix(len(word)) == word
 
 
@@ -71,7 +71,7 @@ def test_closure_steps_are_nested(ab):
         # each construction step is a Theta-palindromic prefix
         assert word.factor(0, len(step)) == step
         assert theta_pal_closure(swap, step) == step
-        step = theta_pal_closure(swap, step + Word(ab, (d.letter(k),)))
+        step = theta_pal_closure(swap, concat(step, Word(ab, (d.letter(k),))))
         k += 1
 
 

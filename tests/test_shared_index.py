@@ -72,7 +72,7 @@ def test_closure_matches_oracle_random(data):
 
 
 def test_crw_scan_over_large_alphabet_matches_oracle():
-    # over more than 256 letters the scan slices tuples instead of bytes
+    # over more than 256 letters the scan searches two bytes per letter
     ab = Alphabet(tuple(f"x{i}" for i in range(300)))
     pairing = list(range(300))
     pairing[1], pairing[299] = 299, 1
