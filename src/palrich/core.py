@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional
 
 
@@ -68,6 +69,14 @@ class Alphabet:
         """The text of a symbol sequence: tokens joined with "" when every
         token is one character, else with " "."""
         return self._joiner.join([self.letters[s] for s in symbols])
+
+    def spell_spans(self, symbols, spans) -> list[str]:
+        """``spell(symbols[a:a + m])`` for each (a, m) span, cut from one
+        spelling of ``symbols`` at a table of letter offsets."""
+        j, letters = len(self._joiner), self.letters
+        at = list(accumulate([len(letters[s]) + j for s in symbols], initial=0))
+        text = self.spell(symbols)
+        return [text[at[a]:at[a + m] - j] if m else "" for a, m in spans]
 
 
 @dataclass(frozen=True)
@@ -238,10 +247,11 @@ def find(text: bytes, needle: bytes, width: int, start: int = 0,
 def find_all(text: bytes, needle: bytes, width: int) -> list[int]:
     """Every offset ``find`` hits, overlapping ones included, ascending."""
     out: list[int] = []
-    i = find(text, needle, width)
+    i = text.find(needle)
     while i != -1:
-        out.append(i)
-        i = find(text, needle, width, i + width)
+        if i % width == 0:  # else it straddles two letters
+            out.append(i)
+        i = text.find(needle, i + width - i % width)   # from the next letter
     return out
 
 

@@ -252,7 +252,7 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
         found: dict = {}    # segment -> (first occurrence of w, of segment)
         for x, (s, e) in runs.items():
             tx = mirror[n - sa[s] - size:n - sa[s]]
-            first, j = min(sa[s:e]), (s if tx in runs else e)  # Theta(x) must occur
+            j = s if tx in runs else e  # Theta(x) must occur
             while j < e:
                 i1 = sa[j]
                 q = find(seq, x, width, i1 + width, n)
@@ -263,7 +263,7 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
                 k = j + 1 if mark < 0 or len(u) > 2 * span else bisect_right(
                     sa, u, j + 1, e, key=lambda i, m=len(u): seq[i:i + m])
                 if t >= 0 and u not in found and mirror[n - i1 - len(u):n - i1] != u:
-                    found[u] = (first, min(sa[j:k]))
+                    found[u] = (min(sa[s:e]), min(sa[j:k]))
                 j = k
         witnesses.extend(Word(v_prefix.alphabet, sym[i // width:(i + len(u)) // width])
                          for u, (_, i) in sorted(found.items(), key=lambda kv: kv[1]))

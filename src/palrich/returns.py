@@ -84,24 +84,38 @@ def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
 
 @dataclass(frozen=True)
 class CrwViolation:
-    factor: Word
-    complete_return: Word
+    """A non-palindromic complete return, as (start, length) prefix spans."""
+    prefix: Word
+    factor_span: tuple[int, int]
+    return_span: tuple[int, int]
+
+    @property
+    def factor(self) -> Word:
+        a, m = self.factor_span
+        return self.prefix.factor(a, a + m)
+
+    @property
+    def complete_return(self) -> Word:
+        a, m = self.return_span
+        return self.prefix.factor(a, a + m)
 
 
 @dataclass(frozen=True)
 class CrwReport:
+    prefix: Word
     checked_factors: int
     violations: tuple[CrwViolation, ...]
     empirical_threshold: int   # smallest length with no violations at or above it
 
     def describe(self) -> dict:
+        texts = iter(self.prefix.alphabet.spell_spans(
+            self.prefix.symbols,
+            [s for v in self.violations for s in (v.factor_span, v.return_span)]))
         return {
             "min_len": 1,
             "checked_factors": self.checked_factors,
-            "violations": [
-                {"factor": v.factor.text, "complete_return": v.complete_return.text}
-                for v in self.violations
-            ],
+            "violations": [{"factor": f, "complete_return": cr}
+                           for f, cr in zip(texts, texts)],
             "empirical_threshold": self.empirical_threshold,
         }
 
@@ -135,14 +149,14 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
         checked += 1
         returns, coding = segment_coding(seq, occ, len(p))
         bad = [k for k, cr in enumerate(returns) if cr not in pal_set]
-        if bad:     # spelled in letters from the prefix, where each first occurs
-            ab, worst = prefix.alphabet, len(p) // width
-            factor = Word(ab, sym[occ[0] // width:occ[0] // width + worst])
-            for k in bad:
-                a = occ[coding.index(k)] // width
-                violations.append(CrwViolation(
-                    factor, Word(ab, sym[a:a + len(returns[k]) // width])))
-    return CrwReport(checked_factors=checked, violations=tuple(violations),
+        if bad:     # spans in letters, where each first occurs
+            worst = len(p) // width
+            factor = (occ[0] // width, worst)
+            first = {k: a // width for a, k in reversed([*zip(occ, coding)])}
+            violations.extend(CrwViolation(prefix, factor,
+                                           (first[k], len(returns[k]) // width))
+                              for k in bad)
+    return CrwReport(prefix, checked_factors=checked, violations=tuple(violations),
                      empirical_threshold=worst + 1)
 
 

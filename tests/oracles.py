@@ -15,10 +15,13 @@ Condition (ii) merges the occurrence lists of each letter and its image,
 where the library makes one pass over v, and equations (3) and (4) are
 checked on ``Word``s, where the library compares symbol tuples.  The
 palindromic tree keeps one object per node, where the library keeps columns;
-the per-letter loops build it.  Occurrences are found by comparing a tuple
-slice at every position, where the library searches encoded bytes, and the
+the per-letter loops build it.  The complete-return scan reports each
+violation as two ``Word``s spelled one by one, where the library keeps spans
+of the prefix and spells them from one text.  Occurrences are found by
+comparing a tuple slice at every position, where the library searches encoded bytes, and the
 condition (i) sweeps choose bytes or tuples from the letters they meet.
 """
+from dataclasses import dataclass
 from typing import Optional
 
 from palrich.core import (
@@ -49,7 +52,7 @@ from palrich.decompose import (
 from palrich.generators import ArnouxRauzyReport, DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile
 from palrich.rauzy import special_extensions
-from palrich.returns import CrwReport, CrwViolation, mirror_bounded_palindromicity
+from palrich.returns import mirror_bounded_palindromicity
 
 MAX_CANDIDATES = 16     # palindromic prefixes tried by letter_check_theorem2
 
@@ -234,13 +237,45 @@ def occurrence_count(w: Word, f: Word) -> int:
     return len(slice_occurrences(w.symbols, f.symbols))
 
 
-def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
-    """``crw_palindromicity_scan`` testing each complete return letter by letter."""
+@dataclass(frozen=True)
+class WordCrwViolation:
+    factor: Word
+    complete_return: Word
+
+
+@dataclass(frozen=True)
+class WordCrwReport:
+    checked_factors: int
+    violations: tuple[WordCrwViolation, ...]
+    empirical_threshold: int
+
+    def describe(self) -> dict:
+        return {
+            "min_len": 1,
+            "checked_factors": self.checked_factors,
+            "violations": [
+                {"factor": v.factor.text, "complete_return": v.complete_return.text}
+                for v in self.violations
+            ],
+            "empirical_threshold": self.empirical_threshold,
+        }
+
+
+def crw_outcome(report) -> tuple[dict, list[tuple[Word, Word]]]:
+    """What a complete-return report says: its JSON, and each violation's
+    factor and complete return as ``Word``s."""
+    return report.describe(), [(v.factor, v.complete_return)
+                               for v in report.violations]
+
+
+def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> WordCrwReport:
+    """``crw_palindromicity_scan`` testing each complete return letter by
+    letter and building a ``Word`` for each violation."""
     idx = NodePalIndex(theta)
     sym = prefix.symbols
     idx.extend(sym)
     pair = theta.pairing
-    violations: list[CrwViolation] = []
+    violations: list[WordCrwViolation] = []
     checked = 0
     worst = 0
     pals = [sym[start:start + length] for start, length in idx.palindrome_spans()]
@@ -254,11 +289,12 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
         if bad:
             ab = prefix.alphabet
             factor = Word(ab, p)
-            violations.extend(CrwViolation(factor=factor, complete_return=Word(ab, cr))
+            violations.extend(WordCrwViolation(factor=factor,
+                                               complete_return=Word(ab, cr))
                               for cr in bad)
             worst = max(worst, len(p))
-    return CrwReport(checked_factors=checked, violations=tuple(violations),
-                     empirical_threshold=worst + 1)
+    return WordCrwReport(checked_factors=checked, violations=tuple(violations),
+                         empirical_threshold=worst + 1)
 
 
 def letter_check_return_coding(theta: Antimorphism, prefix: Word, p: Word

@@ -14,8 +14,8 @@ from palrich.decompose import _mirror_bounded_witnesses
 from palrich.generators import DirectiveSequence, fibonacci_source, \
     theta_standard_with_seed_source
 from palrich.returns import crw_palindromicity_scan
-from oracles import letter_check_crw_scan, radius_table_condition_i, \
-    slice_occurrences
+from oracles import crw_outcome, letter_check_crw_scan, \
+    radius_table_condition_i, slice_occurrences
 
 SIZES = (2, 255, 256, 257, 300)
 
@@ -105,7 +105,8 @@ def test_crw_scan_matches_oracle(k):
     ab = alphabet(k)
     for word in random_words(rng, ab, 60, 60):
         theta = random_theta(rng, ab, pool(k))
-        assert crw_palindromicity_scan(theta, word) == letter_check_crw_scan(theta, word)
+        assert crw_outcome(crw_palindromicity_scan(theta, word)) == \
+            crw_outcome(letter_check_crw_scan(theta, word))
 
 
 @pytest.mark.parametrize("k", SIZES)

@@ -17,6 +17,7 @@ from conftest import random_involution, random_word
 from oracles import (
     append_loop_defect_profile,
     append_loop_pal_prefix_lengths,
+    crw_outcome,
     factor_loop_palindromic_complexity,
     factor_set_closed_under_theta,
     factor_set_complexity,
@@ -31,7 +32,8 @@ def draw_word(data, max_len: int):
 
 
 def assert_readers_match_oracles(theta, word) -> None:
-    assert crw_palindromicity_scan(theta, word) == letter_check_crw_scan(theta, word)
+    assert crw_outcome(crw_palindromicity_scan(theta, word)) == \
+        crw_outcome(letter_check_crw_scan(theta, word))
     assert defect_profile(theta, word) == append_loop_defect_profile(theta, word)
     assert pal_prefix_lengths(theta, word.symbols) == \
         append_loop_pal_prefix_lengths(theta, word)
@@ -81,8 +83,8 @@ def test_crw_scan_over_large_alphabet_matches_oracle():
         for _ in range(20):
             word = Word(ab, tuple(rng.choice((0, 1, 299))
                                   for _ in range(rng.randint(0, 80))))
-            assert crw_palindromicity_scan(theta, word) == \
-                letter_check_crw_scan(theta, word)
+            assert crw_outcome(crw_palindromicity_scan(theta, word)) == \
+                crw_outcome(letter_check_crw_scan(theta, word))
 
 
 def test_automaton_over_large_alphabet_matches_oracle():
