@@ -12,8 +12,6 @@ from .core import (
     Morphism,
     PreconditionError,
     Word,
-    apply_antimorphism,
-    apply_morphism,
     gamma,
     occurrences,
 )

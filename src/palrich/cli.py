@@ -51,7 +51,7 @@ from .generators import (
 )
 from .palindromes import defect, defect_profile
 from .rauzy import build_graph, check_proposition1
-from .returns import crw_palindromicity_scan, unioccurrent_lps_scan
+from .returns import crw_palindromicity_scan
 
 SCHEMA_VERSION = 1
 EQ4_SAMPLES = 100  # random words on which --method return checks eq4
@@ -184,7 +184,7 @@ def cmd_analyze(args) -> int:
             "T": table.t(n) if n <= table.max_length else None,
         }
     crw = crw_palindromicity_scan(theta, w)
-    lps_scan = unioccurrent_lps_scan(theta, w)
+    lps_scan = profile.last_increment
     report = _header(
         args, descriptor, theta,
         prefix_length=len(w),
@@ -235,7 +235,7 @@ def cmd_rauzy(args) -> int:
         "n": args.n,
         "vertices": len(g.vertices),
         "edges": len(g.edges),
-        "loops": len(g.loop_edges),
+        "loops": sum(e.is_loop for e in g.edges),
         "loops_palindromic": res.loops_palindromic,
         "tree_after_loop_removal": res.tree_after_loop_removal,
     }

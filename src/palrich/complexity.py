@@ -21,6 +21,7 @@ from .core import (
     InvariantError,
     PreconditionError,
     Word,
+    _check_same,
     factor_tuples,
 )
 from .palindromes import pal_index
@@ -184,8 +185,7 @@ class ComplexityTable:
 def complexity_table(theta: Antimorphism, prefix: Word, max_length: int,
                      safe_length: Optional[int] = None,
                      source: str = "word") -> ComplexityTable:
-    if theta.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(theta, prefix)
     if max_length + 1 > len(prefix):
         raise InputError(
             f"max_length {max_length} too large for prefix of length {len(prefix)}")
@@ -232,8 +232,7 @@ def closed_under_theta(theta: Antimorphism, prefix: Word,
     Returns (True, None) or (False, witness) with a factor whose image is
     absent.
     """
-    if theta.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(theta, prefix)
     sym = prefix.symbols
     shortest = _factor_counts(theta, sym).shortest_absent
     if shortest is None or shortest > n:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Optional
 
 
@@ -188,32 +188,6 @@ def _check_same(theta_or_word, w: Word) -> None:
         raise InputError("alphabet mismatch")
 
 
-def apply_antimorphism(theta: Antimorphism, w: Word) -> Word:
-    """Reverse w and replace each letter by its pairing image."""
-    _check_same(theta, w)
-    return Word(w.alphabet, theta.image(w.symbols))
-
-
-def symbols_are_theta_palindrome(pairing, symbols) -> bool:
-    # index-level fast path shared by the heavier modules
-    i, j = 0, len(symbols) - 1
-    while i <= j:
-        if symbols[i] != pairing[symbols[j]]:
-            return False
-        i += 1
-        j -= 1
-    return True
-
-
-def apply_morphism(phi: "Morphism", w: Word) -> Word:
-    if w.alphabet != phi.source:
-        raise InputError("alphabet mismatch: word is not over the morphism source")
-    out: list[int] = []
-    for s in w.symbols:
-        out.extend(phi.images[s].symbols)
-    return Word(phi.target, tuple(out))
-
-
 def gamma(theta: Antimorphism, w: Word) -> int:
     """Number of unordered pairs {a, Theta(a)} with a != Theta(a) meeting w."""
     _check_same(theta, w)
@@ -259,8 +233,7 @@ def occurrences(w: Word, f: Word) -> list[int]:
     """All (possibly overlapping) occurrence indices of f in w, ascending."""
     if len(f) == 0:
         raise InputError("occurrences of the empty word are not defined here")
-    if f.alphabet != w.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(f, w)
     width = w.alphabet.width
     return [i // width for i in find_all(w.encoded, f.encoded, width)]
 
@@ -303,6 +276,10 @@ class Morphism:
         for im in self.images:
             if im.alphabet != self.target:
                 raise InputError("morphism image over wrong alphabet")
+
+    def image(self, symbols) -> tuple:
+        """phi of a symbol sequence: the images of its letters, concatenated."""
+        return tuple(chain.from_iterable(self.images[s].symbols for s in symbols))
 
     def describe(self) -> dict:
         return {t: self.images[i].text for i, t in enumerate(self.source.letters)}

@@ -23,7 +23,7 @@ from .core import (
     InvariantError,
     Morphism,
     Word,
-    apply_morphism,
+    _check_same,
     encode,
     find,
     occurrences,
@@ -105,7 +105,7 @@ def _recode(prefix: Word, segments, codes, overlap: int, letters: tuple,
     phi = Morphism(b_alpha, prefix.alphabet, tuple(
         Word(prefix.alphabet, e[:len(e) - overlap]) for e in segments))
     v = Word(b_alpha, tuple(codes))
-    if apply_morphism(phi, v).symbols != prefix.symbols[span[0]:span[1]]:
+    if phi.image(codes) != prefix.symbols[span[0]:span[1]]:
         raise InvariantError(f"{kind} refactorization mismatch")
     return phi, v
 
@@ -142,8 +142,7 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
     length has any either.  Requires the factor set to be closed under
     Theta at the chosen length.
     """
-    if theta.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(theta, prefix)
     if not 1 <= n <= len(prefix) // 4:
         raise InputError(f"coding length {n} unreasonable for |prefix|={len(prefix)}")
 
@@ -344,8 +343,7 @@ class ReturnWordCoding:
 
 def verify_eq3(theta: Antimorphism, p: Word, q: Word) -> bool:
     """Letter-for-letter check of p Theta(q) = q p."""
-    if theta.alphabet != q.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(theta, q)
     if p.alphabet != q.alphabet:
         raise InputError("cannot concatenate words over different alphabets")
     return p.symbols + theta.image(q.symbols) == q.symbols + p.symbols
@@ -359,10 +357,8 @@ def verify_eq4(theta: Antimorphism, phi: Morphism, p: Word, w: Word) -> bool:
         raise InputError("cannot concatenate words over different alphabets")
     if theta.alphabet != phi.target:
         raise InputError("alphabet mismatch")
-
-    def image(sym):  # phi(sym) p
-        return tuple(x for s in sym for x in phi.images[s].symbols) + p.symbols
-    return theta.image(image(w.symbols)) == image(w.symbols[::-1])
+    return theta.image(phi.image(w.symbols) + p.symbols) == \
+        phi.image(w.symbols[::-1]) + p.symbols
 
 
 def _candidate_prefix_lengths(theta: Antimorphism,
@@ -412,8 +408,7 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word) -> ReturnWordCoding:
     three candidates, p occurs at 0 and at the end of the two longer ones,
     3 times.  A failure thus has at most two candidates.
     """
-    if theta.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(theta, prefix)
     target, lengths = _candidate_prefix_lengths(theta, prefix)
     best_candidate: Optional[dict] = None
     if lengths:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .core import (
     Antimorphism,
@@ -120,6 +121,13 @@ class DefectProfile:
 
     def final(self) -> int:
         return self.values[-1]
+
+    @property
+    def last_increment(self) -> Optional[int]:
+        """Last prefix length k with d_k > d_{k-1}, None if there is none:
+        where the longest Theta-palindromic suffix is not unioccurrent."""
+        d = self.values
+        return max((k for k in range(1, len(d)) if d[k] > d[k - 1]), default=None)
 
     def to_csv(self) -> str:
         lines = ["prefix_length,defect,gamma,pal_count"]

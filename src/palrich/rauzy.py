@@ -15,8 +15,8 @@ from .core import (
     Antimorphism,
     InputError,
     Word,
+    _check_same,
     segment_coding,
-    symbols_are_theta_palindrome,
 )
 
 
@@ -99,14 +99,6 @@ class SuperReducedRauzyGraph:
     vertices: frozenset[tuple[tuple, tuple]]
     edges: tuple[GraphEdge, ...]
 
-    @property
-    def loop_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.is_loop)
-
-    @property
-    def non_loop_edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if not e.is_loop)
-
     def to_dot(self) -> str:
         """Deterministic DOT rendering; vertices labeled "w|theta(w)"."""
         spell = self.alphabet.spell
@@ -132,8 +124,7 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
     Theta-image; vertex and edge pairs are canonicalized so equality is
     well-defined.
     """
-    if theta.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(theta, prefix)
     timage = theta.image
     specials, _, (paths, _) = simple_path_cut(prefix.symbols, n)
     vertices = frozenset(_canon_pair(w, timage(w)) for w in specials)
@@ -165,33 +156,30 @@ class Proposition1Result:
 
 def check_proposition1(g: SuperReducedRauzyGraph,
                        theta: Antimorphism) -> Proposition1Result:
-    """Loop palindromicity plus tree-after-loop-removal; empty graph passes."""
-    pair = theta.pairing
-    loops_ok = all(
-        symbols_are_theta_palindrome(pair, e.words[0]) for e in g.loop_edges
-    )
-    verts = g.vertices
-    non_loops = g.non_loop_edges
-    if not verts:
-        tree_ok = len(non_loops) == 0
-    else:
-        if len(non_loops) != len(verts) - 1:
-            tree_ok = False
+    """Loop palindromicity plus tree-after-loop-removal; empty graph passes.
+
+    One pass over the edges with a union-find over the vertices: a non-loop
+    edge between two vertices already connected closes a cycle, and an
+    acyclic graph is a tree when it has at most one component.
+    """
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    loops_ok = acyclic = True
+    components = len(root)
+    for e in g.edges:
+        if e.is_loop:
+            loops_ok = loops_ok and theta.image(e.words[0]) == e.words[0]
+            continue
+        a, b = map(find, e.endpoints)
+        if a == b:
+            acyclic = False
         else:
-            adj: dict[tuple, list[tuple]] = {v: [] for v in verts}
-            for e in non_loops:
-                a, b = e.endpoints
-                adj[a].append(b)
-                adj[b].append(a)
-            start = next(iter(verts))
-            stack = [start]
-            reached = {start}
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in reached:
-                        reached.add(u)
-                        stack.append(u)
-            tree_ok = len(reached) == len(verts)
+            root[a] = b
+            components -= 1
     return Proposition1Result(loops_palindromic=loops_ok,
-                              tree_after_loop_removal=tree_ok)
+                              tree_after_loop_removal=acyclic and components <= 1)

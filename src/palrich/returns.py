@@ -14,10 +14,10 @@ from .core import (
     Antimorphism,
     InputError,
     Word,
+    _check_same,
     find_all,
     occurrences,
     segment_coding,
-    symbols_are_theta_palindrome,
 )
 from .palindromes import defect_profile, pal_index
 
@@ -56,9 +56,8 @@ def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
     A witnessed factor begins with w, ends with Theta(w), and has no other
     occurrence of either; all such factors must be Theta-palindromes.
     """
-    if theta.alphabet != prefix.alphabet or w.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
-    pair = theta.pairing
+    _check_same(theta, prefix)
+    _check_same(w, prefix)
     sym = prefix.symbols
     m = len(w)
     tw = theta.image(w.symbols)
@@ -77,40 +76,23 @@ def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
         if seg in seen:
             continue
         seen.add(seg)
-        if not symbols_are_theta_palindrome(pair, seg):
+        if theta.image(seg) != seg:
             witnesses.append(Word(prefix.alphabet, seg))
     return (len(witnesses) == 0), witnesses
-
-
-@dataclass(frozen=True)
-class CrwViolation:
-    """A non-palindromic complete return, as (start, length) prefix spans."""
-    prefix: Word
-    factor_span: tuple[int, int]
-    return_span: tuple[int, int]
-
-    @property
-    def factor(self) -> Word:
-        a, m = self.factor_span
-        return self.prefix.factor(a, a + m)
-
-    @property
-    def complete_return(self) -> Word:
-        a, m = self.return_span
-        return self.prefix.factor(a, a + m)
 
 
 @dataclass(frozen=True)
 class CrwReport:
     prefix: Word
     checked_factors: int
-    violations: tuple[CrwViolation, ...]
+    # each non-palindromic complete return as two (start, length) spans of
+    # the prefix, where the factor and where the complete return first occur
+    violations: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     empirical_threshold: int   # smallest length with no violations at or above it
 
     def describe(self) -> dict:
         texts = iter(self.prefix.alphabet.spell_spans(
-            self.prefix.symbols,
-            [s for v in self.violations for s in (v.factor_span, v.return_span)]))
+            self.prefix.symbols, [s for pair in self.violations for s in pair]))
         return {
             "min_len": 1,
             "checked_factors": self.checked_factors,
@@ -129,8 +111,7 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     stand-in for the existential constant of the finite-defect
     characterization).
     """
-    if theta.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
+    _check_same(theta, prefix)
     sym, seq, width = prefix.symbols, prefix.encoded, prefix.alphabet.width
     # bytes slices take an eighth of the memory of tuples; the palindromes of
     # 4000 Fibonacci letters hold six million letters.  Big-endian letters
@@ -140,7 +121,7 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     # every complete return is a factor of the prefix, so it is a
     # Theta-palindrome exactly when it is one of the prefix's palindromes
     pal_set = set(pals)
-    violations: list[CrwViolation] = []
+    violations: list[tuple] = []
     checked = worst = 0
     for p in sorted(pals, key=lambda x: (len(x), x)):
         occ = find_all(seq, p, width)     # byte offsets
@@ -153,8 +134,7 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
             worst = len(p) // width
             factor = (occ[0] // width, worst)
             first = {k: a // width for a, k in reversed([*zip(occ, coding)])}
-            violations.extend(CrwViolation(prefix, factor,
-                                           (first[k], len(returns[k]) // width))
+            violations.extend((factor, (first[k], len(returns[k]) // width))
                               for k in bad)
     return CrwReport(prefix, checked_factors=checked, violations=tuple(violations),
                      empirical_threshold=worst + 1)
@@ -165,9 +145,7 @@ def unioccurrent_lps_scan(theta: Antimorphism, prefix: Word) -> Optional[int]:
     unioccurrent; None if no violation.
 
     Prefixes of the word are scanned: a violation at prefix length k is
-    exactly a defect increment d_k - d_{k-1} = 1.
+    exactly a defect increment d_k - d_{k-1} = 1, which
+    ``DefectProfile.last_increment`` reads.
     """
-    if theta.alphabet != prefix.alphabet:
-        raise InputError("alphabet mismatch")
-    d = defect_profile(theta, prefix).values
-    return max((k for k in range(1, len(d)) if d[k] > d[k - 1]), default=None)
+    return defect_profile(theta, prefix).last_increment

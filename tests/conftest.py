@@ -102,6 +102,17 @@ def random_word(rng: random.Random, theta: Antimorphism, length: int) -> Word:
     return Word(theta.alphabet, tuple(rng.randrange(k) for _ in range(length)))
 
 
+def near_periodic(rng, theta, length, letters=None):
+    # a short period over ``letters`` (default: the whole alphabet) repeated,
+    # with up to three letters changed
+    letters = letters or range(len(theta.alphabet))
+    period = [rng.choice(letters) for _ in range(rng.randint(1, 4))]
+    sym = [period[i % len(period)] for i in range(length)]
+    for _ in range(rng.randint(0, 3)):
+        sym[rng.randrange(length)] = rng.choice(letters)
+    return Word(theta.alphabet, tuple(sym))
+
+
 def inline_segments(symbols, starts, tail: int):
     """The per-caller loop that ``core.segment_coding`` replaced: the oracle."""
     letter_of: dict = {}

@@ -20,6 +20,10 @@ violation as two ``Word``s spelled one by one, where the library keeps spans
 of the prefix and spells them from one text.  Occurrences are found by
 comparing a tuple slice at every position, where the library searches encoded bytes, and the
 condition (i) sweeps choose bytes or tuples from the letters they meet.
+A Theta-palindrome is tested letter by letter against the mirrored letter,
+where the library compares a word with its Theta-image, and the tree test of
+Proposition 1 builds an adjacency list and walks it depth first, where the
+library makes one union-find pass over the edges.
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -31,12 +35,10 @@ from palrich.core import (
     InvariantError,
     Morphism,
     Word,
-    apply_antimorphism,
-    apply_morphism,
+    _check_same,
     factor_tuples,
     occurrences,
     segment_coding,
-    symbols_are_theta_palindrome,
 )
 from palrich.complexity import closed_under_theta
 from palrich.decompose import (
@@ -51,10 +53,75 @@ from palrich.decompose import (
 )
 from palrich.generators import ArnouxRauzyReport, DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile
-from palrich.rauzy import special_extensions
-from palrich.returns import mirror_bounded_palindromicity
+from palrich.rauzy import (
+    Proposition1Result,
+    SuperReducedRauzyGraph,
+    special_extensions,
+)
+from palrich.returns import CrwReport, mirror_bounded_palindromicity
 
 MAX_CANDIDATES = 16     # palindromic prefixes tried by letter_check_theorem2
+
+
+def symbols_are_theta_palindrome(pairing, symbols) -> bool:
+    """Each letter against the image of its mirror, from both ends inwards."""
+    i, j = 0, len(symbols) - 1
+    while i <= j:
+        if symbols[i] != pairing[symbols[j]]:
+            return False
+        i += 1
+        j -= 1
+    return True
+
+
+def apply_antimorphism(theta: Antimorphism, w: Word) -> Word:
+    """Reverse w and replace each letter by its pairing image."""
+    _check_same(theta, w)
+    return Word(w.alphabet, theta.image(w.symbols))
+
+
+def apply_morphism(phi: Morphism, w: Word) -> Word:
+    """phi(w) as a ``Word``, each letter's image appended in turn."""
+    if w.alphabet != phi.source:
+        raise InputError("alphabet mismatch: word is not over the morphism source")
+    out: list[int] = []
+    for s in w.symbols:
+        out.extend(phi.images[s].symbols)
+    return Word(phi.target, tuple(out))
+
+
+def dfs_check_proposition1(g: SuperReducedRauzyGraph,
+                           theta: Antimorphism) -> Proposition1Result:
+    """``check_proposition1`` testing each loop letter by letter, and the
+    tree condition as |E| = |V| - 1 non-loop edges that reach every vertex
+    from one of them, depth first."""
+    pair = theta.pairing
+    loops_ok = all(symbols_are_theta_palindrome(pair, e.words[0])
+                   for e in g.edges if e.is_loop)
+    verts = g.vertices
+    non_loops = [e for e in g.edges if not e.is_loop]
+    if not verts:
+        tree_ok = len(non_loops) == 0
+    elif len(non_loops) != len(verts) - 1:
+        tree_ok = False
+    else:
+        adj: dict[tuple, list[tuple]] = {v: [] for v in verts}
+        for e in non_loops:
+            a, b = e.endpoints
+            adj[a].append(b)
+            adj[b].append(a)
+        start = next(iter(verts))
+        stack = [start]
+        reached = {start}
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        tree_ok = len(reached) == len(verts)
+    return Proposition1Result(loops_palindromic=loops_ok,
+                              tree_after_loop_removal=tree_ok)
 
 
 def distinct_theta_palindromes_naive(theta: Antimorphism, w: Word) -> set[Word]:
@@ -238,34 +305,34 @@ def occurrence_count(w: Word, f: Word) -> int:
 
 
 @dataclass(frozen=True)
-class WordCrwViolation:
-    factor: Word
-    complete_return: Word
-
-
-@dataclass(frozen=True)
 class WordCrwReport:
     checked_factors: int
-    violations: tuple[WordCrwViolation, ...]
+    violations: tuple[tuple[Word, Word], ...]   # (factor, complete return)
     empirical_threshold: int
 
     def describe(self) -> dict:
         return {
             "min_len": 1,
             "checked_factors": self.checked_factors,
-            "violations": [
-                {"factor": v.factor.text, "complete_return": v.complete_return.text}
-                for v in self.violations
-            ],
+            "violations": [{"factor": f.text, "complete_return": cr.text}
+                           for f, cr in self.violations],
             "empirical_threshold": self.empirical_threshold,
         }
+
+
+def crw_words(report: CrwReport) -> list[tuple[Word, Word]]:
+    """Each violation of a ``crw_palindromicity_scan`` report as its factor
+    and complete return, ``Word``s cut from the report's prefix at the spans."""
+    return [tuple(report.prefix.factor(a, a + m) for a, m in spans)
+            for spans in report.violations]
 
 
 def crw_outcome(report) -> tuple[dict, list[tuple[Word, Word]]]:
     """What a complete-return report says: its JSON, and each violation's
     factor and complete return as ``Word``s."""
-    return report.describe(), [(v.factor, v.complete_return)
-                               for v in report.violations]
+    pairs = report.violations if isinstance(report, WordCrwReport) else \
+        crw_words(report)
+    return report.describe(), list(pairs)
 
 
 def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> WordCrwReport:
@@ -275,7 +342,7 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> WordCrwReport:
     sym = prefix.symbols
     idx.extend(sym)
     pair = theta.pairing
-    violations: list[WordCrwViolation] = []
+    violations: list[tuple[Word, Word]] = []
     checked = 0
     worst = 0
     pals = [sym[start:start + length] for start, length in idx.palindrome_spans()]
@@ -289,9 +356,7 @@ def letter_check_crw_scan(theta: Antimorphism, prefix: Word) -> WordCrwReport:
         if bad:
             ab = prefix.alphabet
             factor = Word(ab, p)
-            violations.extend(WordCrwViolation(factor=factor,
-                                               complete_return=Word(ab, cr))
-                              for cr in bad)
+            violations.extend((factor, Word(ab, cr)) for cr in bad)
             worst = max(worst, len(p))
     return WordCrwReport(checked_factors=checked, violations=tuple(violations),
                          empirical_threshold=worst + 1)

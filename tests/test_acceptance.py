@@ -13,7 +13,6 @@ from palrich.core import (
     Alphabet,
     Antimorphism,
     Word,
-    apply_morphism,
     gamma,
 )
 from palrich.cli import main as cli_main
@@ -47,7 +46,7 @@ from palrich.palindromes import (
 from palrich.rauzy import build_graph, check_proposition1
 from palrich.returns import unioccurrent_lps_scan
 from conftest import factor_set, is_rich_finite, random_involution, random_word
-from oracles import count_theta_palindromes_expand
+from oracles import apply_morphism, count_theta_palindromes_expand
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

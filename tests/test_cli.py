@@ -6,9 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import palrich.decompose
 from palrich.cli import main
-from palrich.core import Alphabet, Antimorphism
+from palrich.core import Alphabet, Antimorphism, Morphism
 from conftest import random_word
 
 
@@ -267,12 +266,11 @@ def test_analyze_max_rauzy_n_below_1_exit_1(capsys):
 
 
 def _corrupt_morphism(monkeypatch):
-    original = palrich.decompose.apply_morphism
+    original = Morphism.image
 
-    def corrupted(phi, word):
-        image = original(phi, word)
-        return type(image)(image.alphabet, image.symbols[1:])
-    monkeypatch.setattr(palrich.decompose, "apply_morphism", corrupted)
+    def corrupted(phi, symbols):
+        return original(phi, symbols)[1:]
+    monkeypatch.setattr(Morphism, "image", corrupted)
 
 
 @pytest.mark.parametrize("method, gen", [("path", "fibonacci"),

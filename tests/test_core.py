@@ -13,16 +13,14 @@ from palrich.core import (
     Morphism,
     Word,
     antimorphism_from_config,
-    apply_antimorphism,
-    apply_morphism,
     gamma,
     occurrences,
     segment_coding,
-    symbols_are_theta_palindrome,
 )
 from conftest import factor_set, inline_segments, random_involution, \
     random_word, w
-from oracles import concat, slice_occurrences
+from oracles import apply_antimorphism, apply_morphism, concat, \
+    slice_occurrences, symbols_are_theta_palindrome
 
 
 def test_alphabet_validation():

@@ -16,13 +16,13 @@ from palrich.core import (
     Antimorphism,
     Word,
     occurrences,
-    symbols_are_theta_palindrome,
 )
 from palrich.decompose import _candidate_prefix_lengths, _return_coding
 from palrich.generators import DirectiveSequence, theta_standard_with_seed_source
 from palrich.palindromes import crw_violation_lengths
 from palrich.returns import crw_palindromicity_scan
 from conftest import corpus, every_involution, random_involution, random_word
+from oracles import crw_words, symbols_are_theta_palindrome
 
 CORPUS_4000 = list(corpus(4000))
 
@@ -41,7 +41,7 @@ def assert_lemma(theta: Antimorphism, word: Word) -> list[int]:
     scan = crw_palindromicity_scan(theta, word)
     lengths = crw_violation_lengths(theta, word.symbols)
     assert sorted(lengths) == sorted(len(f) for f in
-                                     {v.factor for v in scan.violations})
+                                     {f for f, _ in crw_words(scan)})
     assert scan.empirical_threshold == 1 + max(lengths, default=0)
     return lengths
 

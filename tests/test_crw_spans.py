@@ -14,7 +14,7 @@ from palrich.core import Alphabet, Antimorphism, Word, occurrences, \
 from palrich.generators import thue_morse_source
 from palrich.returns import crw_palindromicity_scan
 from conftest import random_involution, random_word
-from oracles import letter_check_crw_scan
+from oracles import crw_words, letter_check_crw_scan
 
 
 @pytest.mark.parametrize("letters", [
@@ -40,9 +40,9 @@ def test_spans_are_first_occurrences():
         theta = random_involution(rng, rng.randint(1, 3))
         words.append((theta, random_word(rng, theta, rng.randint(0, 40))))
     for theta, word in words:
-        for v in crw_palindromicity_scan(theta, word).violations:
-            for span, part in ((v.factor_span, v.factor),
-                               (v.return_span, v.complete_return)):
+        scan = crw_palindromicity_scan(theta, word)
+        for spans, parts in zip(scan.violations, crw_words(scan), strict=True):
+            for span, part in zip(spans, parts, strict=True):
                 assert len(part) == span[1]
                 assert occurrences(word, part)[0] == span[0]
 

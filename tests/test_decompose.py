@@ -10,8 +10,6 @@ from palrich.core import (
     InputError,
     Morphism,
     Word,
-    apply_antimorphism,
-    apply_morphism,
     occurrences,
 )
 from palrich.decompose import (
@@ -40,8 +38,8 @@ from conftest import (
     random_word,
     w,
 )
-from oracles import concat, factor_loop_condition_i, word_level_verify_eq3, \
-    word_level_verify_eq4
+from oracles import apply_antimorphism, apply_morphism, concat, \
+    factor_loop_condition_i, word_level_verify_eq3, word_level_verify_eq4
 
 
 # --- simple-path recoding -----------------------------------------------------

@@ -14,7 +14,7 @@ from palrich.decompose import _mirror_bounded_witnesses
 from palrich.generators import DirectiveSequence, fibonacci_source, \
     theta_standard_with_seed_source
 from palrich.returns import crw_palindromicity_scan
-from oracles import crw_outcome, letter_check_crw_scan, \
+from oracles import crw_outcome, crw_words, letter_check_crw_scan, \
     radius_table_condition_i, slice_occurrences
 
 SIZES = (2, 255, 256, 257, 300)
@@ -129,8 +129,8 @@ def test_crw_threshold_counts_letters():
         word = Word(ab, tuple((a, b)[c == "b"] for c in "aababbaa"))
         report = crw_palindromicity_scan(Antimorphism.reversal(ab), word)
         assert report.empirical_threshold == 3, k
-        assert [(v.factor.symbols, v.complete_return.symbols)
-                for v in report.violations] == [((a, a), word.symbols)]
+        assert [(f.symbols, cr.symbols) for f, cr in crw_words(report)] == \
+            [((a, a), word.symbols)]
 
 
 def respell(value, tokens: dict):

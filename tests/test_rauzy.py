@@ -1,4 +1,4 @@
-from palrich.core import Alphabet, Antimorphism, Word, apply_antimorphism
+from palrich.core import Alphabet, Antimorphism, Word
 from palrich.complexity import complexity_table
 from palrich.rauzy import (
     build_graph,
@@ -8,6 +8,7 @@ from palrich.rauzy import (
 from palrich.decompose import theorem1_decompose
 from palrich.generators import fibonacci_source, periodic_source, thue_morse_source
 from conftest import w
+from oracles import apply_antimorphism
 
 
 def test_special_factors_fibonacci(tr, ab):

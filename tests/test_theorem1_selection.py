@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import palrich.rauzy
 from palrich.core import Alphabet, Antimorphism, Word
 from palrich.decompose import DecomposeError, theorem1_decompose
-from conftest import random_involution, random_word
+from conftest import near_periodic, random_involution, random_word
 from oracles import per_length_theorem1
 
 
@@ -21,17 +21,6 @@ def outcome(select, theta, word, n):
         return "coding", select(theta, word, n).describe()
     except DecomposeError as exc:
         return "error", str(exc), exc.payload
-
-
-def near_periodic(rng, theta, length, letters=None):
-    # a short period over ``letters`` (default: the whole alphabet) repeated,
-    # with up to three letters changed
-    letters = letters or range(len(theta.alphabet))
-    period = [rng.choice(letters) for _ in range(rng.randint(1, 4))]
-    sym = [period[i % len(period)] for i in range(length)]
-    for _ in range(rng.randint(0, 3)):
-        sym[rng.randrange(length)] = rng.choice(letters)
-    return Word(theta.alphabet, tuple(sym))
 
 
 def assert_same_selection(theta, word) -> list[dict]:
