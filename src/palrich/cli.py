@@ -11,7 +11,6 @@ import json
 import random
 import re
 import sys
-from typing import Optional
 
 from . import __version__
 from .core import (
@@ -57,7 +56,7 @@ SCHEMA_VERSION = 1
 EQ4_SAMPLES = 100  # random words on which --method return checks eq4
 
 
-def _parse_theta(spec: str, alphabet: Optional[Alphabet]) -> Antimorphism:
+def _parse_theta(spec: str, alphabet: Alphabet | None) -> Antimorphism:
     """--theta reversal | pairs:a-b,c-c | <config.json>."""
     if spec == "reversal":
         if alphabet is None:
@@ -359,7 +358,7 @@ def _check_ranges(args) -> None:
             raise InputError(f"{flag} must be at least 1, got {value}")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_ranges(args)

@@ -10,16 +10,15 @@ statements concern infinite languages.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Optional
 
 from .core import (
     Antimorphism,
     InputError,
     InvariantError,
     PreconditionError,
+    Record,
     Word,
     _check_same,
     factor_tuples,
@@ -99,7 +98,7 @@ class _SuffixAutomaton:
                     right[n][len(nxt[v])] += 1
         return left, right
 
-    def shortest_absent(self, symbols) -> Optional[int]:
+    def shortest_absent(self, symbols) -> int | None:
         """Length of the shortest factor of ``symbols`` that is not a factor
         of the indexed word, or None if there is none.
 
@@ -108,7 +107,7 @@ class _SuffixAutomaton:
         absent, and every shortest absent factor is one of those.
         """
         length, link, nxt = self.length, self.link, self.next
-        best: Optional[int] = None
+        best: int | None = None
         v = matched = 0
         for read, a in enumerate(symbols, start=1):
             while v and a not in nxt[v]:
@@ -124,9 +123,9 @@ class _SuffixAutomaton:
         return best
 
 
-class _FactorCounts(NamedTuple):
+class _FactorCounts(Record):
     c: tuple[int, ...]              # C(0..|w|)
-    shortest_absent: Optional[int]  # shortest factor with absent Theta-image
+    shortest_absent: int | None  # shortest factor with absent Theta-image
 
 
 @lru_cache(maxsize=1)
@@ -149,8 +148,7 @@ def default_safe_length(prefix_length: int, divisor: int = DEFAULT_SAFE_DIVISOR)
     return max(1, prefix_length // divisor)
 
 
-@dataclass(frozen=True)
-class ComplexityTable:
+class ComplexityTable(Record):
     """Rows n = 0..N with C(n), P(n) and T(n) = C(n+1)-C(n)+2-P(n+1)-P(n)."""
 
     source: str
@@ -183,7 +181,7 @@ class ComplexityTable:
 
 
 def complexity_table(theta: Antimorphism, prefix: Word, max_length: int,
-                     safe_length: Optional[int] = None,
+                     safe_length: int | None = None,
                      source: str = "word") -> ComplexityTable:
     _check_same(theta, prefix)
     if max_length + 1 > len(prefix):
@@ -226,7 +224,7 @@ def is_rich_by_T(table: ComplexityTable, closed: bool) -> bool:
 
 
 def closed_under_theta(theta: Antimorphism, prefix: Word,
-                       n: int) -> tuple[bool, Optional[Word]]:
+                       n: int) -> tuple[bool, Word | None]:
     """Is the factor set of the prefix closed under Theta up to length n?
 
     Returns (True, None) or (False, witness) with a factor whose image is

@@ -8,10 +8,9 @@ function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable, Optional
 
 
 class InputError(ValueError):
@@ -26,8 +25,66 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed: a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """An immutable value as ``dataclass(frozen=True)`` makes it, without the
+    code that decorator generates and ``exec``-s per class at import (most of
+    palrich's start-up).  The fields are the names annotated in the class
+    body, in order; ``__init__`` takes them by position or keyword, then calls
+    ``__post_init__``.  Equality (same class only), hash and repr read the
+    field tuple; assignment and deletion raise ``AttributeError``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()   # looked up here, so a rebinding on the class counts
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        fields, name = self._fields, type(self).__name__
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or kwargs.keys() - (set(fields) - given.keys()):
+            raise TypeError(f"{name}() got unexpected or repeated fields")
+        given.update(kwargs)
+        missing = [f for f in fields if f not in given]
+        if missing:
+            raise TypeError(f"{name}() missing fields: {', '.join(missing)}")
+        return [given[f] for f in fields]
+
+    def __post_init__(self):
+        """Check the fields; a class that validates them overrides this."""
+
+    def _astuple(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        d = self.__dict__
+        return (f"{type(self).__qualname__}("
+                f"{', '.join(f'{f}={d[f]!r}' for f in self._fields)})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(Record):
     """Ordered finite alphabet; letters are non-empty whitespace-free tokens."""
 
     letters: tuple[str, ...]
@@ -79,8 +136,7 @@ class Alphabet:
         return [text[at[a]:at[a + m] - j] if m else "" for a, m in spans]
 
 
-@dataclass(frozen=True)
-class Antimorphism:
+class Antimorphism(Record):
     """Involutive antimorphism given by its action on letters.
 
     The word-level action (reverse and map letters) is always derived from
@@ -139,8 +195,7 @@ class Antimorphism:
         }
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Finite word stored as a tuple of letter indices; the empty word is fine."""
 
     alphabet: Alphabet
@@ -209,7 +264,7 @@ def encode(symbols, width: int) -> bytes:
 
 
 def find(text: bytes, needle: bytes, width: int, start: int = 0,
-         end: Optional[int] = None) -> int:
+         end: int | None = None) -> int:
     """First offset of ``needle`` in ``text[start:end]`` at a multiple of
     ``width`` (as ``start`` is), or -1: other hits straddle two letters."""
     i = text.find(needle, start, end)
@@ -262,8 +317,7 @@ def factor_tuples(symbols, n: int) -> set[tuple]:
     return {symbols[i:i + n] for i in range(len(symbols) - n + 1)}
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """Letter-to-word substitution phi: source* -> target*."""
 
     source: Alphabet

@@ -13,8 +13,6 @@ outputs for auditability.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     Alphabet,
@@ -22,6 +20,7 @@ from .core import (
     InputError,
     InvariantError,
     Morphism,
+    Record,
     Word,
     _check_same,
     encode,
@@ -47,15 +46,14 @@ REPORTED_WITNESSES = 8  # condition (i) witnesses kept in the report
 class DecomposeError(RuntimeError):
     """A decomposition pipeline cannot proceed; details in ``payload``."""
 
-    def __init__(self, message: str, payload: Optional[dict] = None):
+    def __init__(self, message: str, payload: dict | None = None):
         super().__init__(message)
         self.payload = payload or {}
 
 
 # --- simple-path recoding ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplePathCoding:
+class SimplePathCoding(Record):
     n: int                        # coding length actually used
     requested_n: int
     path_alphabet: Alphabet       # letters "[k]" by first occurrence
@@ -197,14 +195,13 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
         tail_length=len(sym) - positions[-1], flags=flags)
 
 
-@dataclass(frozen=True)
-class RichnessConditionsReport:
+class RichnessConditionsReport(Record):
     """The two sufficient conditions for richness of a recoded word."""
 
     condition_i: bool
     condition_i_witnesses: tuple[Word, ...]
     condition_ii: bool
-    condition_ii_witness: Optional[str]
+    condition_ii_witness: str | None
     max_factor_len: int
 
     @property
@@ -272,7 +269,7 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
 
 
 def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
-                              max_factor_len: Optional[int] = None
+                              max_factor_len: int | None = None
                               ) -> RichnessConditionsReport:
     """Mirror-bounded palindromicity for every factor, plus letter-image
     occurrence alternation.
@@ -311,8 +308,7 @@ def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
 
 # --- return-word recoding ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ReturnWordCoding:
+class ReturnWordCoding(Record):
     p: Word
     return_alphabet: Alphabet     # "1".."M" in first-occurrence order
     returns: tuple[Word, ...]
@@ -410,7 +406,7 @@ def theorem2_decompose(theta: Antimorphism, prefix: Word) -> ReturnWordCoding:
     """
     _check_same(theta, prefix)
     target, lengths = _candidate_prefix_lengths(theta, prefix)
-    best_candidate: Optional[dict] = None
+    best_candidate: dict | None = None
     if lengths:
         p = prefix.factor(0, lengths[0])
         occ = occurrences(prefix, p)

@@ -7,16 +7,12 @@ Theta-palindromic closure.  Every source yields consistent prefixes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .core import Alphabet, Antimorphism, InputError, Word
+from .core import Alphabet, Antimorphism, InputError, Record, Word
 from .palindromes import pal_prefix_lengths, theta_pal_closure
 from .complexity import _SuffixAutomaton
 
 
-@dataclass(frozen=True)
-class DirectiveSequence:
+class DirectiveSequence(Record):
     """Eventually periodic directive: preperiod then repeated period."""
 
     pre: Word
@@ -189,13 +185,12 @@ def tribonacci_source() -> ClosureSource:
     return episturmian_source(DirectiveSequence.parse(abc, "", "abc"))
 
 
-@dataclass(frozen=True)
-class ArnouxRauzyReport:
+class ArnouxRauzyReport(Record):
     ok: bool
     valence: int
     checked_up_to: int
-    first_failure: Optional[int]
-    reason: Optional[str]
+    first_failure: int | None
+    reason: str | None
 
     def describe(self) -> dict:
         return {"ok": self.ok, "valence": self.valence,

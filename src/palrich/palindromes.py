@@ -8,14 +8,13 @@ Every palindrome fact about a word is read from one index, ``pal_index``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .core import (
     Antimorphism,
     InputError,
     InvariantError,
+    Record,
     Word,
     _check_same,
     gamma,
@@ -111,8 +110,7 @@ class PalIndex:
         self._last = last
 
 
-@dataclass(frozen=True)
-class DefectProfile:
+class DefectProfile(Record):
     """Per-prefix defect values d_0..d_|w| with the matching gamma/pal counts."""
 
     values: tuple[int, ...]
@@ -123,7 +121,7 @@ class DefectProfile:
         return self.values[-1]
 
     @property
-    def last_increment(self) -> Optional[int]:
+    def last_increment(self) -> int | None:
         """Last prefix length k with d_k > d_{k-1}, None if there is none:
         where the longest Theta-palindromic suffix is not unioccurrent."""
         d = self.values

@@ -8,20 +8,18 @@ and the graph becomes a tree once loops are removed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Alphabet,
     Antimorphism,
     InputError,
+    Record,
     Word,
     _check_same,
     segment_coding,
 )
 
 
-@dataclass(frozen=True)
-class SpecialFactors:
+class SpecialFactors(Record):
     n: int
     left_special: frozenset[Word]
     right_special: frozenset[Word]
@@ -69,8 +67,9 @@ def simple_path_cut(sym: tuple, n: int
                     ) -> tuple[set[tuple], list[int], tuple[list[tuple], list[int]]]:
     """The LS-or-RS factors of length n (as tuples), their occurrences in
     ``sym``, and ``segment_coding``'s cut there: the distinct n-simple paths
-    and the coding of ``sym`` over them."""
-    if not 0 <= n <= len(sym):
+    and the coding of ``sym`` over them.  n must be at least 1: at n = 0 a
+    path's end ``e[-n:]`` would be the whole path, not a vertex."""
+    if not 1 <= n <= len(sym):
         raise InputError(f"length {n} out of range")
     left, right = special_extensions(sym, n)
     specials = left.keys() | right.keys()
@@ -82,8 +81,7 @@ def _canon_pair(x: tuple, y: tuple) -> tuple[tuple, tuple]:
     return (x, y) if x <= y else (y, x)
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Record):
     words: tuple[tuple, tuple]     # canonical (e, Theta(e)) as symbol tuples
     endpoints: tuple[tuple[tuple, tuple], tuple[tuple, tuple]]  # canonical vertices
 
@@ -92,8 +90,7 @@ class GraphEdge:
         return self.endpoints[0] == self.endpoints[1]
 
 
-@dataclass(frozen=True)
-class SuperReducedRauzyGraph:
+class SuperReducedRauzyGraph(Record):
     n: int
     alphabet: Alphabet
     vertices: frozenset[tuple[tuple, tuple]]
@@ -144,8 +141,7 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
                                   vertices=vertices, edges=tuple(edges))
 
 
-@dataclass(frozen=True)
-class Proposition1Result:
+class Proposition1Result(Record):
     loops_palindromic: bool
     tree_after_loop_removal: bool
 

@@ -7,12 +7,10 @@ the infinite word.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .core import (
     Antimorphism,
     InputError,
+    Record,
     Word,
     _check_same,
     find_all,
@@ -22,8 +20,7 @@ from .core import (
 from .palindromes import defect_profile, pal_index
 
 
-@dataclass(frozen=True)
-class ReturnStructure:
+class ReturnStructure(Record):
     factor: Word
     occurrence_indices: tuple[int, ...]
     complete_returns: tuple[Word, ...]   # first-occurrence order, deduplicated
@@ -81,8 +78,7 @@ def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
     return (len(witnesses) == 0), witnesses
 
 
-@dataclass(frozen=True)
-class CrwReport:
+class CrwReport(Record):
     prefix: Word
     checked_factors: int
     # each non-palindromic complete return as two (start, length) spans of
@@ -140,7 +136,7 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
                      empirical_threshold=worst + 1)
 
 
-def unioccurrent_lps_scan(theta: Antimorphism, prefix: Word) -> Optional[int]:
+def unioccurrent_lps_scan(theta: Antimorphism, prefix: Word) -> int | None:
     """Last position where the longest Theta-palindromic suffix fails to be
     unioccurrent; None if no violation.
 

@@ -1,4 +1,6 @@
-from palrich.core import Alphabet, Antimorphism, Word
+import pytest
+
+from palrich.core import Alphabet, Antimorphism, InputError, Word
 from palrich.complexity import complexity_table
 from palrich.rauzy import (
     build_graph,
@@ -96,6 +98,14 @@ def test_empty_graph_passes(tr, ab):
     g = build_graph(tr, w(ab, "a" * 50), 2)
     assert not g.vertices and not g.edges
     assert check_proposition1(g, tr).holds
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_build_graph_rejects_n_below_1(tr, ab, n):
+    # at n = 0 a path's end e[-0:] is the whole path, not a vertex, and
+    # check_proposition1 used to fail with a KeyError on such a graph
+    with pytest.raises(InputError, match=f"length {n} out of range"):
+        build_graph(tr, w(ab, "ab"), n)
 
 
 def test_dot_output_deterministic(tr, ab):
