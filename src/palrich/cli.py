@@ -18,6 +18,7 @@ from .core import (
     Antimorphism,
     InputError,
     InvariantError,
+    MAX_LETTERS,
     Word,
     antimorphism_from_file,
     word_from_file,
@@ -102,11 +103,9 @@ def _load_input(args) -> tuple[Word, Antimorphism, dict]:
     """Resolve --gen/--word-file plus --theta into (prefix, theta, descriptor)."""
     n = args.len
     if args.word_file:
-        w = word_from_file(args.word_file, tokens=args.tokens)
+        w = word_from_file(args.word_file, tokens=args.tokens).factor(0, n)
         if len(w) == 0:
             raise InputError(f"word file {args.word_file} holds no letters")
-        if len(w) > n:
-            w = w.factor(0, n)
         theta = _parse_theta(args.theta, w.alphabet)
         return w, theta, {"word_file": args.word_file, "length": len(w)}
     if not args.gen:
@@ -244,7 +243,7 @@ def cmd_rauzy(args) -> int:
 
 def _eq4_samples(coding, theta, rng) -> dict:
     b = coding.return_alphabet
-    words = [Word(b, tuple(rng.randrange(len(b)) for _ in range(rng.randint(0, 6))))
+    words = [Word.unchecked(b, tuple(rng.randrange(len(b)) for _ in range(rng.randint(0, 6))))
              for _ in range(EQ4_SAMPLES)]
     failures = sum(not verify_eq4(theta, coding.phi, coding.p, w) for w in words)
     return {"samples": EQ4_SAMPLES, "failures": failures}
@@ -356,6 +355,8 @@ def _check_ranges(args) -> None:
                         ("--max-rauzy-n", getattr(args, "max_rauzy_n", None))):
         if value is not None and value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
+    if args.len > MAX_LETTERS:
+        raise InputError(f"--len must be at most {MAX_LETTERS}, got {args.len}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -239,5 +239,5 @@ def closed_under_theta(theta: Antimorphism, prefix: Word,
     facs = factor_tuples(sym, shortest)
     for f in facs:
         if theta.image(f) not in facs:
-            return False, Word(prefix.alphabet, f)
+            return False, Word.unchecked(prefix.alphabet, f)
     raise InvariantError(f"no factor of length {shortest} has an absent Theta-image")

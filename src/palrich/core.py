@@ -13,6 +13,9 @@ from functools import cached_property
 from itertools import accumulate, chain
 
 
+MAX_LETTERS = 1 << 20   # longest word read or generated; analyze at 10**6 takes 650 MB
+
+
 class InputError(ValueError):
     """Invalid user-supplied data: alphabet mismatch, malformed config, ..."""
 
@@ -208,16 +211,25 @@ class Word(Record):
                 raise InputError(f"symbol index {s} out of range for alphabet")
 
     @classmethod
+    def unchecked(cls, alphabet: Alphabet, symbols: tuple) -> "Word":
+        """The word, its letters not range-checked: palrich made or checked them."""
+        w = object.__new__(cls)
+        w.__dict__.update(alphabet=alphabet, symbols=symbols)
+        return w
+
+    @classmethod
     def from_text(cls, alphabet: Alphabet, text: str, tokens: bool = False) -> "Word":
-        parts = text.split() if tokens else list(text)
-        return cls(alphabet, tuple(alphabet.index(p) for p in parts))
+        parts = text.split() if tokens else text
+        return cls.unchecked(alphabet, tuple(map(alphabet.index, parts)))
 
     @classmethod
     def parse(cls, text: str, tokens: bool = False) -> "Word":
         """Parse with an inferred alphabet (sorted distinct letters)."""
-        parts = text.split() if tokens else list(text)
+        parts = text.split() if tokens else text
+        if len(parts) > MAX_LETTERS:
+            raise InputError(f"{len(parts)} letters, more than the {MAX_LETTERS} allowed")
         alphabet = Alphabet(tuple(sorted(set(parts)))) if parts else Alphabet(("a",))
-        return cls(alphabet, tuple(alphabet.index(p) for p in parts))
+        return cls.unchecked(alphabet, tuple(map(alphabet.index, parts)))
 
     @property
     def text(self) -> str:
@@ -227,7 +239,7 @@ class Word(Record):
         return len(self.symbols)
 
     def factor(self, start: int, end: int) -> "Word":
-        return Word(self.alphabet, self.symbols[start:end])
+        return Word.unchecked(self.alphabet, self.symbols[start:end])
 
     @cached_property
     def encoded(self) -> bytes:

@@ -101,8 +101,8 @@ def _recode(prefix: Word, segments, codes, overlap: int, letters: tuple,
     # is ``codes``; phi(v) must give back the covered span of the prefix
     b_alpha = Alphabet(letters)
     phi = Morphism(b_alpha, prefix.alphabet, tuple(
-        Word(prefix.alphabet, e[:len(e) - overlap]) for e in segments))
-    v = Word(b_alpha, tuple(codes))
+        Word.unchecked(prefix.alphabet, e[:len(e) - overlap]) for e in segments))
+    v = Word.unchecked(b_alpha, tuple(codes))
     if phi.image(codes) != prefix.symbols[span[0]:span[1]]:
         raise InvariantError(f"{kind} refactorization mismatch")
     return phi, v
@@ -189,7 +189,7 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
     return SimplePathCoding(
         n=chosen, requested_n=n, path_alphabet=phi.source,
         theta2=Antimorphism(phi.source, tuple(pairing)), v_prefix=v, phi=phi,
-        path_table={tok: Word(prefix.alphabet, e) for tok, e in zip(letters, paths)},
+        path_table={tok: Word.unchecked(prefix.alphabet, e) for tok, e in zip(letters, paths)},
         occurrence_indices=tuple(positions),
         covered_start=positions[0], covered_end=positions[-1],
         tail_length=len(sym) - positions[-1], flags=flags)
@@ -261,7 +261,7 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
                 if t >= 0 and u not in found and mirror[n - i1 - len(u):n - i1] != u:
                     found[u] = (min(sa[s:e]), min(sa[j:k]))
                 j = k
-        witnesses.extend(Word(v_prefix.alphabet, sym[i // width:(i + len(u)) // width])
+        witnesses.extend(Word.unchecked(v_prefix.alphabet, sym[i // width:(i + len(u)) // width])
                          for u, (_, i) in sorted(found.items(), key=lambda kv: kv[1]))
         if len(witnesses) >= REPORTED_WITNESSES:
             break

@@ -72,23 +72,25 @@ class PeriodicSource(WordSource):
     def prefix(self, n: int) -> Word:
         _check_length(n)
         p = self.period.symbols
-        reps = n // len(p) + 1
-        return Word(self.alphabet, (p * reps)[:n])
+        return Word.unchecked(self.alphabet, (p * (n // len(p) + 1))[:n])
 
     def describe(self) -> dict:
         return {**super().describe(), "period": self.period.text}
 
 
 class ThueMorseSource(WordSource):
-    """Fixed point of a -> ab, b -> ba, starting with a."""
+    """Fixed point of a -> ab, b -> ba from a: t[:2m] is t[:m], then t[:m] flipped."""
 
     kind = "thue_morse"
     alphabet = Alphabet(("a", "b"))
+    _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
     def prefix(self, n: int) -> Word:
         _check_length(n)
-        return Word(self.alphabet,
-                    tuple(bin(i).count("1") & 1 for i in range(n)))
+        t = b"\0"
+        while len(t) < n:
+            t += t.translate(self._FLIP)
+        return Word.unchecked(self.alphabet, tuple(t[:n]))
 
 
 class ClosureSource(WordSource):
@@ -143,7 +145,7 @@ class ClosureSource(WordSource):
     def prefix(self, n: int) -> Word:
         _check_length(n)
         self._grow_to(n)
-        return Word(self.alphabet, tuple(self._buf[:n]))
+        return Word.unchecked(self.alphabet, tuple(self._buf[:n]))
 
     def describe(self) -> dict:
         return {
@@ -165,7 +167,7 @@ def thue_morse_source() -> ThueMorseSource:
 def episturmian_source(d: DirectiveSequence) -> ClosureSource:
     """Standard episturmian word: iterated reversal-closure, empty seed."""
     theta = Antimorphism.reversal(d.alphabet)
-    src = ClosureSource(theta, Word(d.alphabet, ()), d)
+    src = ClosureSource(theta, Word.unchecked(d.alphabet, ()), d)
     src.kind = "episturmian"
     return src
 

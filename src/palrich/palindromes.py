@@ -207,4 +207,4 @@ def theta_pal_closure(theta: Antimorphism, w: Word) -> Word:
     """
     _check_same(theta, w)
     p_len = len(w) - pal_index(theta, w.symbols).lps_length
-    return Word(w.alphabet, w.symbols + theta.image(w.symbols[:p_len]))
+    return Word.unchecked(w.alphabet, w.symbols + theta.image(w.symbols[:p_len]))

@@ -59,8 +59,8 @@ def special_factors(prefix: Word, n: int) -> SpecialFactors:
         raise InputError(f"length {n} out of range")
     left, right = special_extensions(prefix.symbols, n)
     ab = prefix.alphabet
-    return SpecialFactors(n=n, left_special=frozenset(Word(ab, w) for w in left),
-                          right_special=frozenset(Word(ab, w) for w in right))
+    return SpecialFactors(n=n, left_special=frozenset(Word.unchecked(ab, w) for w in left),
+                          right_special=frozenset(Word.unchecked(ab, w) for w in right))
 
 
 def simple_path_cut(sym: tuple, n: int

@@ -42,8 +42,8 @@ def return_structure(prefix: Word, w: Word) -> ReturnStructure:
     ab = prefix.alphabet
     return ReturnStructure(
         factor=w, occurrence_indices=tuple(occ),
-        complete_returns=tuple(Word(ab, cr) for cr in crs),
-        returns=tuple(Word(ab, cr[:len(cr) - m]) for cr in crs))
+        complete_returns=tuple(Word.unchecked(ab, cr) for cr in crs),
+        returns=tuple(Word.unchecked(ab, cr[:len(cr) - m]) for cr in crs))
 
 
 def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
@@ -59,7 +59,7 @@ def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
     m = len(w)
     tw = theta.image(w.symbols)
     occ_w = occurrences(prefix, w)
-    occ_t = occurrences(prefix, Word(prefix.alphabet, tw)) if tw != w.symbols else occ_w
+    occ_t = occurrences(prefix, Word.unchecked(prefix.alphabet, tw)) if tw != w.symbols else occ_w
     set_w, set_t = set(occ_w), set(occ_t)
     marks = sorted(set_w | set_t)
     witnesses: list[Word] = []
@@ -74,7 +74,7 @@ def mirror_bounded_palindromicity(theta: Antimorphism, prefix: Word,
             continue
         seen.add(seg)
         if theta.image(seg) != seg:
-            witnesses.append(Word(prefix.alphabet, seg))
+            witnesses.append(Word.unchecked(prefix.alphabet, seg))
     return (len(witnesses) == 0), witnesses
 
 

@@ -23,7 +23,9 @@ condition (i) sweeps choose bytes or tuples from the letters they meet.
 A Theta-palindrome is tested letter by letter against the mirrored letter,
 where the library compares a word with its Theta-image, and the tree test of
 Proposition 1 builds an adjacency list and walks it depth first, where the
-library makes one union-find pass over the edges.
+library makes one union-find pass over the edges.  The Thue-Morse letter at
+i is the parity of the ones in the binary expansion of i, where the library
+doubles a block of bytes by its complement.
 """
 from dataclasses import dataclass
 from typing import Optional
@@ -775,3 +777,8 @@ class AppendLoopClosureSource(WordSource):
             self._steps += 1
             self._close([self.directive.letter(self._steps - 1)])
         return Word(self.alphabet, tuple(self._buf[:n]))
+
+
+def popcount_thue_morse(n: int) -> tuple[int, ...]:
+    """The first n Thue-Morse letters, letter i from the bits of i."""
+    return tuple(bin(i).count("1") & 1 for i in range(n))

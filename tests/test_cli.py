@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palrich.cli import main
-from palrich.core import Alphabet, Antimorphism, Morphism
+from palrich.core import MAX_LETTERS, Alphabet, Antimorphism, Morphism
 from conftest import random_word
 
 
@@ -344,7 +344,8 @@ def test_cli_argv_contract(tmp_path_factory, data):
     command = data.draw(st.sampled_from(["analyze", "rauzy", "decompose",
                                          "generate"]))
     argv = [command, "--len", data.draw(st.one_of(st.integers(-2, 300).map(str),
-                                                  st.just("abc"))),
+                                                  st.just("abc"),
+                                                  st.just(str(MAX_LETTERS + 1)))),
             *data.draw(st.sampled_from([
                 ["--gen", gen] for gen in (
                     "fibonacci", "tribonacci", "thue_morse", "periodic:ab",

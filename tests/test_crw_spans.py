@@ -48,16 +48,23 @@ def test_spans_are_first_occurrences():
 
 
 def test_scan_builds_no_word_per_violation(monkeypatch):
+    # every Word counts: the validated ones through __post_init__, the
+    # library-built ones through Word.unchecked
     built = []
-    post_init = Word.__post_init__
+    post_init, unchecked = Word.__post_init__, Word.unchecked
 
     def counting(self):
         built.append(len(self))
         post_init(self)
 
+    def counting_unchecked(cls, alphabet, symbols):
+        built.append(len(symbols))
+        return unchecked(alphabet, symbols)
+
     theta = Antimorphism.reversal(Alphabet(("a", "b")))
     words = [thue_morse_source().prefix(n) for n in (200, 1600)]
     monkeypatch.setattr(Word, "__post_init__", counting)
+    monkeypatch.setattr(Word, "unchecked", classmethod(counting_unchecked))
     counts = []
     for word in words:
         built.clear()

@@ -114,7 +114,9 @@ def test_dict_fields_make_a_record_unhashable():
 
 def test_word_post_init_runs_once_per_word(monkeypatch):
     # counted as perfbench counts core.word_constructions: the class's own
-    # __post_init__ rebound on the class after import
+    # __post_init__ rebound on the class after import.  It runs once per
+    # Word(...) and never for the words Word.unchecked builds: text and
+    # files (their letters checked by Alphabet.index) and factors.
     counts = Counter()
 
     def counter(fn):
@@ -125,13 +127,17 @@ def test_word_post_init_runs_once_per_word(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Word, "__post_init__", counter(vars(Word)["__post_init__"]))
-    built = [Word(AB, (0, 1, 1)), Word(alphabet=AB, symbols=(1,)),
-             Word.from_text(AB, "abba"), Word.parse("cab")]
-    built.append(built[2].factor(1, 3))
-    assert counts["word"] == len(built) == 5
+    built = [Word(AB, (0, 1, 1)), Word(alphabet=AB, symbols=(1,))]
+    assert counts["word"] == len(built) == 2
+    unchecked = [Word.from_text(AB, "abba"), Word.parse("cab"),
+                 Word.unchecked(AB, (1, 0))]
+    unchecked.append(unchecked[0].factor(1, 3))
+    assert counts["word"] == 2
+    assert [w.symbols for w in unchecked] == [(0, 1, 1, 0), (2, 0, 1), (1, 0), (1, 1)]
+    assert unchecked[3] == Word(AB, (1, 1)) and unchecked[1].alphabet.letters == ("a", "b", "c")
     with pytest.raises(InputError):
         Word(AB, (2,))
-    assert counts["word"] == 6
+    assert counts["word"] == 4
 
 
 @pytest.mark.parametrize("make, message", [
