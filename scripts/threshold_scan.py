@@ -13,10 +13,10 @@ import sys
 
 from palrich.core import Alphabet, Antimorphism, Word
 from palrich.generators import (
+    ClosureSource,
     DirectiveSequence,
+    ThueMorseSource,
     fibonacci_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
 )
 from palrich.palindromes import crw_violation_lengths, defect
 from palrich.returns import unioccurrent_lps_scan
@@ -27,8 +27,8 @@ def corpus():
     tr = Antimorphism.reversal(ab)
     e = Antimorphism.from_pairs(ab, [("a", "b")])
     yield "fibonacci", tr, fibonacci_source()
-    yield "thue_morse", tr, thue_morse_source()
-    yield "ts_exchange", e, theta_standard_with_seed_source(
+    yield "thue_morse", tr, ThueMorseSource()
+    yield "ts_exchange", e, ClosureSource(
         e, Word(ab, ()), DirectiveSequence.parse(ab, "", "ab"))
 
 

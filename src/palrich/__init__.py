@@ -42,13 +42,13 @@ from .returns import (
     unioccurrent_lps_scan,
 )
 from .generators import (
+    ClosureSource,
     DirectiveSequence,
+    PeriodicSource,
+    ThueMorseSource,
     arnoux_rauzy_check,
     episturmian_source,
     fibonacci_source,
-    periodic_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
     tribonacci_source,
 )
 from .decompose import (

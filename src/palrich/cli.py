@@ -40,13 +40,13 @@ from .decompose import (
     verify_eq4,
 )
 from .generators import (
+    ClosureSource,
     DirectiveSequence,
+    PeriodicSource,
+    ThueMorseSource,
     WordSource,
     episturmian_source,
     fibonacci_source,
-    periodic_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
     tribonacci_source,
 )
 from .palindromes import defect, defect_profile
@@ -117,17 +117,16 @@ def _load_input(args) -> tuple[Word, Antimorphism, dict]:
     elif gen == "tribonacci":
         src = tribonacci_source()
     elif gen == "thue_morse":
-        src = thue_morse_source()
+        src = ThueMorseSource()
     elif gen.startswith("periodic:"):
-        src = periodic_source(Word.parse(gen[len("periodic:"):]))
+        src = PeriodicSource(Word.parse(gen[len("periodic:"):]))
     elif gen == "episturmian":
         if not args.directive:
             raise InputError("--gen episturmian needs --directive")
         ab = Alphabet(tuple(sorted(set(args.directive) - set("()"))))
         src = episturmian_source(_parse_directive(args.directive, ab))
     elif gen == "theta_standard":
-        src = theta_standard_with_seed_source(
-            *_closure_input(args, "--gen theta_standard"))
+        src = ClosureSource(*_closure_input(args, "--gen theta_standard"))
         return src.prefix(n), src.theta, src.describe()
     else:
         raise InputError(f"unknown generator: {gen!r}")
@@ -188,8 +187,8 @@ def cmd_analyze(args) -> int:
         prefix_length=len(w),
         safe_length=safe,
         defect={
-            "of_prefix": profile.final(),   # defect of the analyzed prefix,
-                                            # not of the infinite word
+            "of_prefix": profile.values[-1],   # defect of the analyzed prefix,
+                                               # not of the infinite word
             "last_increment_index": lps_scan,
             "gamma": profile.gammas[-1],
             "pal_count": profile.pal_counts[-1],
@@ -242,7 +241,7 @@ def cmd_rauzy(args) -> int:
 
 
 def _eq4_samples(coding, theta, rng) -> dict:
-    b = coding.return_alphabet
+    b = coding.phi.source
     words = [Word.unchecked(b, tuple(rng.randrange(len(b)) for _ in range(rng.randint(0, 6))))
              for _ in range(EQ4_SAMPLES)]
     failures = sum(not verify_eq4(theta, coding.phi, coding.p, w) for w in words)
@@ -370,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory; try a smaller --len", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,9 +31,9 @@ from .core import (
 from .complexity import closed_under_theta, default_safe_length
 from .generators import (
     ArnouxRauzyReport,
+    ClosureSource,
     DirectiveSequence,
     arnoux_rauzy_check,
-    theta_standard_with_seed_source,
 )
 from .palindromes import crw_violation_lengths, defect, pal_prefix_lengths
 from .rauzy import factor_extensions, simple_path_cut
@@ -56,14 +56,11 @@ class DecomposeError(RuntimeError):
 class SimplePathCoding(Record):
     n: int                        # coding length actually used
     requested_n: int
-    path_alphabet: Alphabet       # letters "[k]" by first occurrence
     theta2: Antimorphism
-    v_prefix: Word                # word over path_alphabet
-    phi: Morphism                 # path_alphabet -> original alphabet
+    v_prefix: Word                # word over phi.source
+    phi: Morphism                 # "[k]" by first occurrence -> original alphabet
     path_table: dict              # letter token -> underlying path Word
-    occurrence_indices: tuple[int, ...]
-    covered_start: int
-    covered_end: int
+    occurrence_indices: tuple[int, ...]  # the cut: v covers the first to the last
     tail_length: int
     flags: dict
 
@@ -75,7 +72,7 @@ class SimplePathCoding(Record):
             "theta2": self.theta2.describe(),
             "morphism": self.phi.describe(),
             "v_prefix": self.v_prefix.text,
-            "covered": [self.covered_start, self.covered_end],
+            "covered": [self.occurrence_indices[0], self.occurrence_indices[-1]],
             "uncovered_tail": self.tail_length,
             "flags": self.flags,
         }
@@ -96,14 +93,15 @@ def _smallest_period(sym: tuple) -> int:
 
 
 def _recode(prefix: Word, segments, codes, overlap: int, letters: tuple,
-            span: tuple[int, int], kind: str) -> tuple[Morphism, Word]:
+            cut, kind: str) -> tuple[Morphism, Word]:
     # phi sends letter k to segment k less its overlap with the next one, v
-    # is ``codes``; phi(v) must give back the covered span of the prefix
+    # is ``codes``; phi(v) must give back the prefix from the first to the
+    # last position of the cut
     b_alpha = Alphabet(letters)
     phi = Morphism(b_alpha, prefix.alphabet, tuple(
         Word.unchecked(prefix.alphabet, e[:len(e) - overlap]) for e in segments))
     v = Word.unchecked(b_alpha, tuple(codes))
-    if phi.image(codes) != prefix.symbols[span[0]:span[1]]:
+    if phi.image(codes) != prefix.symbols[cut[0]:cut[-1]]:
         raise InvariantError(f"{kind} refactorization mismatch")
     return phi, v
 
@@ -116,15 +114,12 @@ def _periodic_coding(prefix: Word, n: int) -> SimplePathCoding:
             "no special factors and no short period: prefix too short to decide",
             {"smallest_period": p, "prefix_length": len(sym)})
     count = len(sym) // p
-    phi, v = _recode(prefix, [sym[:p]], [0] * count, 0, ("[0]",), (0, count * p),
-                     "simple-path")
+    cut = range(0, count * p + 1, p)
+    phi, v = _recode(prefix, [sym[:p]], [0] * count, 0, ("[0]",), cut, "simple-path")
     return SimplePathCoding(
-        n=n, requested_n=n, path_alphabet=phi.source,
-        theta2=Antimorphism.reversal(phi.source), v_prefix=v, phi=phi,
-        path_table={"[0]": phi.images[0]},
-        occurrence_indices=tuple(range(0, count * p, p)),
-        covered_start=0, covered_end=count * p, tail_length=len(sym) - count * p,
-        flags={"periodic": True, "period_length": p})
+        n=n, requested_n=n, theta2=Antimorphism.reversal(phi.source), v_prefix=v,
+        phi=phi, path_table={"[0]": phi.images[0]}, occurrence_indices=tuple(cut),
+        tail_length=len(sym) - cut[-1], flags={"periodic": True, "period_length": p})
 
 
 def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathCoding:
@@ -184,14 +179,12 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
         pairing.append(letter_of[te])
 
     letters = tuple(f"[{k}]" for k in range(len(paths)))
-    phi, v = _recode(prefix, paths, v_sym, chosen, letters,
-                     (positions[0], positions[-1]), "simple-path")
+    phi, v = _recode(prefix, paths, v_sym, chosen, letters, positions, "simple-path")
     return SimplePathCoding(
-        n=chosen, requested_n=n, path_alphabet=phi.source,
-        theta2=Antimorphism(phi.source, tuple(pairing)), v_prefix=v, phi=phi,
+        n=chosen, requested_n=n, theta2=Antimorphism(phi.source, tuple(pairing)),
+        v_prefix=v, phi=phi,
         path_table={tok: Word.unchecked(prefix.alphabet, e) for tok, e in zip(letters, paths)},
         occurrence_indices=tuple(positions),
-        covered_start=positions[0], covered_end=positions[-1],
         tail_length=len(sym) - positions[-1], flags=flags)
 
 
@@ -310,28 +303,24 @@ def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
 
 class ReturnWordCoding(Record):
     p: Word
-    return_alphabet: Alphabet     # "1".."M" in first-occurrence order
-    returns: tuple[Word, ...]
-    phi: Morphism
+    phi: Morphism                 # return words "1".."M" in first-occurrence order
     v_prefix: Word
-    occurrence_indices: tuple[int, ...]
-    covered_length: int
+    occurrence_indices: tuple[int, ...]  # the cut: v covers up to the last
     tail_length: int
     eq3_ok: bool
 
     @property
     def m(self) -> int:
-        return len(self.returns)
+        return len(self.phi.images)
 
     def describe(self) -> dict:
         return {
             "p": self.p.text,
             "M": self.m,
-            "returns": {self.return_alphabet.letters[i]: q.text
-                        for i, q in enumerate(self.returns)},
+            "returns": self.phi.describe(),
             "morphism": self.phi.describe(),
             "v_prefix": self.v_prefix.text,
-            "covered_length": self.covered_length,
+            "covered_length": self.occurrence_indices[-1],
             "uncovered_tail": self.tail_length,
             "eq3_ok": self.eq3_ok,
         }
@@ -383,11 +372,9 @@ def _return_coding(theta: Antimorphism, prefix: Word, p: Word,
     """
     complete, v_sym = segment_coding(prefix.symbols, occ, len(p))
     phi, v = _recode(prefix, complete, v_sym, len(p),
-                     tuple(str(i + 1) for i in range(len(complete))),
-                     (0, occ[-1]), "return-word")
+                     tuple(str(i + 1) for i in range(len(complete))), occ, "return-word")
     return ReturnWordCoding(
-        p=p, return_alphabet=phi.source, returns=phi.images, phi=phi, v_prefix=v,
-        occurrence_indices=tuple(occ), covered_length=occ[-1],
+        p=p, phi=phi, v_prefix=v, occurrence_indices=tuple(occ),
         tail_length=len(prefix) - occ[-1],
         eq3_ok=all(verify_eq3(theta, p, q) for q in phi.images))
 
@@ -449,11 +436,11 @@ def theorem3_pipeline(theta: Antimorphism, seed: Word, d: DirectiveSequence,
     return words ending with distinct letters, and the Arnoux-Rauzy test on
     the derived prefix.
     """
-    src = theta_standard_with_seed_source(theta, seed, d)
+    src = ClosureSource(theta, seed, d)
     target, coding = _bispecial_coding(theta, src.prefix(scale))
     m = coding.m
     size_ok = m <= len(theta.alphabet)
-    last_letters = [q.symbols[-1] for q in coding.returns]
+    last_letters = [q.symbols[-1] for q in coding.phi.images]
     distinct_ok = len(set(last_letters)) == len(last_letters)
     v = coding.v_prefix
     ar: ArnouxRauzyReport = arnoux_rauzy_check(

@@ -156,25 +156,12 @@ class ClosureSource(WordSource):
         }
 
 
-def periodic_source(p: Word) -> PeriodicSource:
-    return PeriodicSource(p)
-
-
-def thue_morse_source() -> ThueMorseSource:
-    return ThueMorseSource()
-
-
 def episturmian_source(d: DirectiveSequence) -> ClosureSource:
     """Standard episturmian word: iterated reversal-closure, empty seed."""
     theta = Antimorphism.reversal(d.alphabet)
     src = ClosureSource(theta, Word.unchecked(d.alphabet, ()), d)
     src.kind = "episturmian"
     return src
-
-
-def theta_standard_with_seed_source(theta: Antimorphism, seed: Word,
-                                    d: DirectiveSequence) -> ClosureSource:
-    return ClosureSource(theta, seed, d)
 
 
 def fibonacci_source() -> ClosureSource:

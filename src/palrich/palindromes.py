@@ -64,9 +64,6 @@ class PalIndex:
 
     # -- construction ---------------------------------------------------------
 
-    def append(self, a: int) -> None:
-        self.extend((a,))
-
     def extend(self, symbols) -> None:
         symbols = tuple(symbols)
         pair = self.theta.pairing
@@ -116,9 +113,6 @@ class DefectProfile(Record):
     values: tuple[int, ...]
     gammas: tuple[int, ...]
     pal_counts: tuple[int, ...]
-
-    def final(self) -> int:
-        return self.values[-1]
 
     @property
     def last_increment(self) -> int | None:

@@ -24,10 +24,6 @@ class SpecialFactors(Record):
     left_special: frozenset[Word]
     right_special: frozenset[Word]
 
-    @property
-    def bispecial(self) -> frozenset[Word]:
-        return self.left_special & self.right_special
-
 
 def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
     """Left- and right-special length-n factors of ``sym`` (as tuples), each
@@ -144,10 +140,6 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
 class Proposition1Result(Record):
     loops_palindromic: bool
     tree_after_loop_removal: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.loops_palindromic and self.tree_after_loop_removal
 
 
 def check_proposition1(g: SuperReducedRauzyGraph,

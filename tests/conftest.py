@@ -5,10 +5,10 @@ import pytest
 
 from palrich.core import Alphabet, Antimorphism, InputError, Word, factor_tuples
 from palrich.generators import (
+    ClosureSource,
     DirectiveSequence,
+    ThueMorseSource,
     fibonacci_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
     tribonacci_source,
 )
 from palrich.palindromes import PalIndex, defect, theta_pal_closure
@@ -134,12 +134,12 @@ def corpus(n: int):
     th = Antimorphism.from_pairs(abc, [("a", "b"), ("c", "c")])
     yield "fibonacci", tr, fibonacci_source().prefix(n)
     yield "tribonacci", Antimorphism.reversal(abc), tribonacci_source().prefix(n)
-    yield "thue_morse", tr, thue_morse_source().prefix(n)
+    yield "thue_morse", tr, ThueMorseSource().prefix(n)
     for name, theta, seed, period in (("ts_exchange", e, "", "ab"),
                                       ("ts_mixed3", th, "", "abc"),
                                       ("ts_seeded_rev", tr, "ab", "ab")):
         letters = theta.alphabet
-        src = theta_standard_with_seed_source(
+        src = ClosureSource(
             theta, Word.from_text(letters, seed),
             DirectiveSequence.parse(letters, "", period))
         yield name, theta, src.prefix(n)

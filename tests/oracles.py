@@ -57,6 +57,7 @@ from palrich.generators import ArnouxRauzyReport, DirectiveSequence, WordSource
 from palrich.palindromes import DefectProfile
 from palrich.rauzy import (
     Proposition1Result,
+    SpecialFactors,
     SuperReducedRauzyGraph,
     special_extensions,
 )
@@ -124,6 +125,17 @@ def dfs_check_proposition1(g: SuperReducedRauzyGraph,
         tree_ok = len(reached) == len(verts)
     return Proposition1Result(loops_palindromic=loops_ok,
                               tree_after_loop_removal=tree_ok)
+
+
+def proposition1_holds(res: Proposition1Result) -> bool:
+    """Proposition 1's criterion: every loop a Theta-palindrome and a tree
+    once the loops are removed."""
+    return res.loops_palindromic and res.tree_after_loop_removal
+
+
+def bispecial(spec: SpecialFactors) -> frozenset[Word]:
+    """The factors of ``spec`` that are both left and right special."""
+    return spec.left_special & spec.right_special
 
 
 def distinct_theta_palindromes_naive(theta: Antimorphism, w: Word) -> set[Word]:
@@ -386,8 +398,7 @@ def letter_check_return_coding(theta: Antimorphism, prefix: Word, p: Word
     if apply_morphism(phi, v).symbols != sym[:occ[-1]]:
         raise InvariantError("return-word refactorization mismatch")
     coding = ReturnWordCoding(
-        p=p, return_alphabet=b_alpha, returns=ret_words, phi=phi, v_prefix=v,
-        occurrence_indices=tuple(occ), covered_length=occ[-1],
+        p=p, phi=phi, v_prefix=v, occurrence_indices=tuple(occ),
         tail_length=len(sym) - occ[-1],
         eq3_ok=all(verify_eq3(theta, p, q) for q in ret_words))
     return coding, None
@@ -503,12 +514,11 @@ def per_length_theorem1(theta: Antimorphism, prefix: Word,
     if apply_morphism(phi, v).symbols != sym[positions[0]:positions[-1]]:
         raise InvariantError("simple-path refactorization mismatch")
     return SimplePathCoding(
-        n=chosen, requested_n=n, path_alphabet=b_alpha,
+        n=chosen, requested_n=n,
         theta2=Antimorphism(b_alpha, tuple(pairing)), v_prefix=v, phi=phi,
         path_table={b_alpha.letters[k]: Word(prefix.alphabet, e)
                     for k, e in enumerate(paths)},
         occurrence_indices=tuple(positions),
-        covered_start=positions[0], covered_end=positions[-1],
         tail_length=len(sym) - positions[-1], flags=flags)
 
 

@@ -31,11 +31,11 @@ from palrich.decompose import (
     verify_eq4,
 )
 from palrich.generators import (
+    ClosureSource,
     DirectiveSequence,
+    PeriodicSource,
+    ThueMorseSource,
     fibonacci_source,
-    periodic_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
     tribonacci_source,
 )
 from palrich.palindromes import (
@@ -46,7 +46,7 @@ from palrich.palindromes import (
 from palrich.rauzy import build_graph, check_proposition1
 from palrich.returns import unioccurrent_lps_scan
 from conftest import factor_set, is_rich_finite, random_involution, random_word
-from oracles import apply_morphism, count_theta_palindromes_expand
+from oracles import apply_morphism, count_theta_palindromes_expand, proposition1_holds
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -74,7 +74,7 @@ TS_FIXTURES = (
 
 def ts_prefix(i: int, n: int) -> tuple[Antimorphism, Word]:
     _name, theta, seed, d = TS_FIXTURES[i]
-    return theta, theta_standard_with_seed_source(theta, seed, d).prefix(n)
+    return theta, ClosureSource(theta, seed, d).prefix(n)
 
 
 def _rand_length(rng: random.Random, common: int, rare: int) -> int:
@@ -118,9 +118,9 @@ def test_criterion_2_index_oracle_equivalence():
             mismatches += 1
     corpus = [
         (TR_AB, fibonacci_source().prefix(20_000)),
-        (TR_AB, thue_morse_source().prefix(20_000)),
+        (TR_AB, ThueMorseSource().prefix(20_000)),
         (Antimorphism.reversal(ABC), tribonacci_source().prefix(20_000)),
-        (TR_AB, periodic_source(Word.from_text(AB, "aab")).prefix(2_000)),
+        (TR_AB, PeriodicSource(Word.from_text(AB, "aab")).prefix(2_000)),
     ]
     for i in range(len(TS_FIXTURES)):
         corpus.append(ts_prefix(i, 20_000))
@@ -143,7 +143,7 @@ def test_criterion_3_richness_route_agreement():
         ("fibonacci", TR_AB, fibonacci_source().prefix(8000), True),
         ("tribonacci", Antimorphism.reversal(ABC),
          tribonacci_source().prefix(8000), True),
-        ("thue_morse", TR_AB, thue_morse_source().prefix(8000), False),
+        ("thue_morse", TR_AB, ThueMorseSource().prefix(8000), False),
     ]
     ok = True
     details = []
@@ -171,9 +171,9 @@ def test_criterion_4_graph_criterion_biconditional():
     corpus = [
         (TR_AB, fibonacci_source().prefix(2000)),
         (Antimorphism.reversal(ABC), tribonacci_source().prefix(2000)),
-        (TR_AB, thue_morse_source().prefix(3000)),
-        (TR_AB, periodic_source(Word.from_text(AB, "ab")).prefix(1000)),
-        (TR_AB, periodic_source(Word.from_text(AB, "aab")).prefix(1000)),
+        (TR_AB, ThueMorseSource().prefix(3000)),
+        (TR_AB, PeriodicSource(Word.from_text(AB, "ab")).prefix(1000)),
+        (TR_AB, PeriodicSource(Word.from_text(AB, "aab")).prefix(1000)),
     ]
     for i in range(len(TS_FIXTURES)):
         corpus.append(ts_prefix(i, 3000))
@@ -188,7 +188,7 @@ def test_criterion_4_graph_criterion_biconditional():
                 break
             res = check_proposition1(build_graph(theta, word, n), theta)
             checked += 1
-            if (table.t(n) == 0) != res.holds:
+            if (table.t(n) == 0) != proposition1_holds(res):
                 disagreements += 1
     report(4, "graph criterion biconditional", disagreements == 0,
            f"{checked} (word, n) pairs, {disagreements} disagreements")
@@ -217,15 +217,15 @@ def test_criterion_6_return_word_recoding():
     details = []
     for name, theta, word in fixtures:
         coding = theorem2_decompose(theta, word)
-        eq3 = all(verify_eq3(theta, coding.p, q) for q in coding.returns)
-        b = coding.return_alphabet
+        eq3 = all(verify_eq3(theta, coding.p, q) for q in coding.phi.images)
+        b = coding.phi.source
         eq4 = all(
             verify_eq4(theta, coding.phi, coding.p,
                        Word(b, tuple(rng.randrange(len(b))
                                      for _ in range(rng.randint(0, 8)))))
             for _ in range(1000))
         refact = apply_morphism(coding.phi, coding.v_prefix).symbols == \
-            word.symbols[:coding.covered_length]
+            word.symbols[:coding.occurrence_indices[-1]]
         v_defect = defect(Antimorphism.reversal(b), coding.v_prefix)
         good = eq3 and eq4 and refact and v_defect == 0
         ok = ok and good
@@ -247,14 +247,14 @@ def test_criterion_7_simple_path_recoding():
         coding = theorem1_decompose(theta, word, n)
         rich = richness_conditions_check(coding.theta2, coding.v_prefix, 12)
         refact = apply_morphism(coding.phi, coding.v_prefix).symbols == \
-            word.symbols[coding.covered_start:coding.covered_end]
+            word.symbols[coding.occurrence_indices[0]:coding.occurrence_indices[-1]]
         good = rich.both and refact
         ok = ok and good
-        details.append(f"{name}: n={coding.n} B={len(coding.path_alphabet)}")
+        details.append(f"{name}: n={coding.n} B={len(coding.phi.source)}")
     # unary branch on periodic input
-    per = periodic_source(Word.from_text(AB, "ab")).prefix(400)
+    per = PeriodicSource(Word.from_text(AB, "ab")).prefix(400)
     coding = theorem1_decompose(TR_AB, per, 2)
-    unary_ok = coding.flags.get("periodic") and len(coding.path_alphabet) == 1
+    unary_ok = coding.flags.get("periodic") and len(coding.phi.source) == 1
     ok = ok and bool(unary_ok)
     report(7, "simple path recoding", ok,
            "; ".join(details) + "; periodic unary branch ok")
@@ -290,7 +290,7 @@ def test_criterion_9_mutation_sensitivity():
             detected += 1
             continue
         for n in range(1, 13):
-            if not check_proposition1(build_graph(TR_AB, mutated, n), TR_AB).holds:
+            if not proposition1_holds(check_proposition1(build_graph(TR_AB, mutated, n), TR_AB)):
                 detected += 1
                 break
     rate = detected / samples

@@ -288,6 +288,17 @@ def test_refactorization_mismatch_exit_3(capsys, monkeypatch, method, gen):
     assert "refactorization mismatch" in err
 
 
+def test_memory_exhaustion_exit_1(capsys, monkeypatch):
+    # a host with a memory limit gets one error line, not a traceback
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr("palrich.cli.cmd_analyze", exhausted)
+    code, out, err = run(capsys, "analyze", "--gen", "fibonacci", "--len", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_last_increment_index_is_lps_scan_result(capsys, tmp_path):
     # last_increment_index must still be the last k with d_k > d_{k-1},
     # read here from the defect profile CSV

@@ -9,9 +9,9 @@ from palrich.complexity import (
     is_rich_by_T,
 )
 from palrich.generators import (
+    PeriodicSource,
+    ThueMorseSource,
     fibonacci_source,
-    periodic_source,
-    thue_morse_source,
     tribonacci_source,
 )
 from conftest import w
@@ -38,7 +38,7 @@ def test_fibonacci_complexity_frozen(tr):
 
 
 def test_thue_morse_gap_frozen(tr):
-    tm = thue_morse_source().prefix(4000)
+    tm = ThueMorseSource().prefix(4000)
     table = complexity_table(tr, tm, 16)
     expected_t = [0, 0, 2, 2, 2, 2, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2]
     assert [table.t(n) for n in range(1, 17)] == expected_t
@@ -57,7 +57,7 @@ def test_unary_word(ab, tr):
 def test_periodic_abc_not_closed():
     abc = Alphabet(("a", "b", "c"))
     trc = Antimorphism.reversal(abc)
-    word = periodic_source(Word.from_text(abc, "abc")).prefix(300)
+    word = PeriodicSource(Word.from_text(abc, "abc")).prefix(300)
     closed, witness = closed_under_theta(trc, word, 4)
     assert not closed
     assert witness is not None and witness.text == "ab"
@@ -70,7 +70,7 @@ def test_periodic_abc_not_closed():
 
 
 def test_check_inequality2_empty_for_closed(tr, swap, ab):
-    word = periodic_source(w(ab, "ab")).prefix(200)
+    word = PeriodicSource(w(ab, "ab")).prefix(200)
     for theta in (tr, swap):
         closed, _ = closed_under_theta(theta, word, 3)
         assert closed

@@ -18,7 +18,7 @@ from palrich.core import (
     occurrences,
 )
 from palrich.decompose import _candidate_prefix_lengths, _return_coding
-from palrich.generators import DirectiveSequence, theta_standard_with_seed_source
+from palrich.generators import ClosureSource, DirectiveSequence
 from palrich.palindromes import crw_violation_lengths
 from palrich.returns import crw_palindromicity_scan
 from conftest import corpus, every_involution, random_involution, random_word
@@ -117,7 +117,7 @@ def assert_candidates_have_palindromic_returns(theta: Antimorphism,
             continue
         coding = _return_coding(theta, word, p, occ)
         assert all(symbols_are_theta_palindrome(theta.pairing, q.symbols + p.symbols)
-                   for q in coding.returns)
+                   for q in coding.phi.images)
         assert coding.eq3_ok
     return len(lengths)
 
@@ -134,7 +134,7 @@ def test_return_coding_accepts_every_candidate_on_random_words(data):
         seed = random_word(rng, theta, data.draw(st.integers(0, 3)))
         d = DirectiveSequence(random_word(rng, theta, data.draw(st.integers(0, 3))),
                               random_word(rng, theta, data.draw(st.integers(1, 4))))
-        word = theta_standard_with_seed_source(theta, seed, d).prefix(
+        word = ClosureSource(theta, seed, d).prefix(
             data.draw(st.integers(1, 400)))
     assert_candidates_have_palindromic_returns(theta, word)
 

@@ -11,7 +11,7 @@ import pytest
 from palrich.cli import main
 from palrich.core import Alphabet, Antimorphism, Word, occurrences, \
     word_from_file
-from palrich.generators import thue_morse_source
+from palrich.generators import ThueMorseSource
 from palrich.returns import crw_palindromicity_scan
 from conftest import random_involution, random_word
 from oracles import crw_words, letter_check_crw_scan
@@ -35,7 +35,7 @@ def test_spell_spans_match_spell(letters):
 def test_spans_are_first_occurrences():
     rng = random.Random(5)
     words = [(Antimorphism.reversal(Alphabet(("a", "b"))),
-              thue_morse_source().prefix(300))]
+              ThueMorseSource().prefix(300))]
     for _ in range(200):
         theta = random_involution(rng, rng.randint(1, 3))
         words.append((theta, random_word(rng, theta, rng.randint(0, 40))))
@@ -62,7 +62,7 @@ def test_scan_builds_no_word_per_violation(monkeypatch):
         return unchecked(alphabet, symbols)
 
     theta = Antimorphism.reversal(Alphabet(("a", "b")))
-    words = [thue_morse_source().prefix(n) for n in (200, 1600)]
+    words = [ThueMorseSource().prefix(n) for n in (200, 1600)]
     monkeypatch.setattr(Word, "__post_init__", counting)
     monkeypatch.setattr(Word, "unchecked", classmethod(counting_unchecked))
     counts = []
@@ -77,7 +77,7 @@ def test_scan_builds_no_word_per_violation(monkeypatch):
 
 
 def test_token_report_matches_word_oracle(tmp_path):
-    prefix = thue_morse_source().prefix(600)
+    prefix = ThueMorseSource().prefix(600)
     path = tmp_path / "tm.txt"
     path.write_text(" ".join(("x1", "y22")[s] for s in prefix.symbols) + "\n")
     out = tmp_path / "report.json"

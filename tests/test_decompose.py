@@ -23,11 +23,11 @@ from palrich.decompose import (
     verify_eq4,
 )
 from palrich.generators import (
+    ClosureSource,
     DirectiveSequence,
+    PeriodicSource,
+    ThueMorseSource,
     fibonacci_source,
-    periodic_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
 )
 from palrich.palindromes import defect
 from palrich.returns import crw_palindromicity_scan
@@ -53,32 +53,33 @@ def test_simple_path_coding_fibonacci_frozen(tr, ab):
     assert coding.phi.describe() == {"[0]": "ab", "[1]": "a"}
     # refactorization covers the prefix between first and last special position
     covered = apply_morphism(coding.phi, coding.v_prefix)
-    assert covered.symbols == fib.symbols[coding.covered_start:coding.covered_end]
-    assert coding.covered_start == 0
+    start, end = coding.occurrence_indices[0], coding.occurrence_indices[-1]
+    assert covered.symbols == fib.symbols[start:end]
+    assert start == 0
     rep = richness_conditions_check(coding.theta2, coding.v_prefix, 12)
     assert rep.condition_i and rep.condition_ii and rep.both
 
 
 def test_simple_path_coding_theta2_involution(tr, ab):
-    tm = thue_morse_source().prefix(3000)
+    tm = ThueMorseSource().prefix(3000)
     coding = theorem1_decompose(tr, tm, 2)
     th2 = coding.theta2
     assert all(th2.pairing[th2.pairing[i]] == i for i in range(len(th2.alphabet)))
     # each path letter maps to the letter of the Theta-image path
     for tok, path in coding.path_table.items():
         img = apply_antimorphism(tr, path)
-        tok2 = th2.alphabet.letters[th2.pairing[coding.path_alphabet.index(tok)]]
+        tok2 = th2.alphabet.letters[th2.pairing[coding.phi.source.index(tok)]]
         assert coding.path_table[tok2] == img
 
 
 def test_simple_path_periodic_branch(tr, ab):
-    word = periodic_source(w(ab, "ab")).prefix(200)
+    word = PeriodicSource(w(ab, "ab")).prefix(200)
     # (ab)^100 has special factors at small n? no: complexity is bounded, so
     # at n where no special factor exists the unary branch runs
     coding = theorem1_decompose(tr, word, 3)
     assert coding.flags.get("periodic")
     assert coding.flags["period_length"] == 2
-    assert len(coding.path_alphabet) == 1
+    assert len(coding.phi.source) == 1
     assert apply_morphism(coding.phi, coding.v_prefix).symbols == word.symbols
 
 
@@ -87,7 +88,7 @@ def test_simple_path_validation(tr, ab):
         theorem1_decompose(tr, w(ab, "abab"), 2)
     abc = Alphabet(("a", "b", "c"))
     trc = Antimorphism.reversal(abc)
-    word = periodic_source(Word.from_text(abc, "abc")).prefix(400)
+    word = PeriodicSource(Word.from_text(abc, "abc")).prefix(400)
     # (abc)^k has no special factors, so the unary branch applies even though
     # the factor set is not closed under reversal
     coding = theorem1_decompose(trc, word, 1)
@@ -191,7 +192,7 @@ def test_verify_eq4_property(ab, tr):
     fib = fibonacci_source().prefix(4000)
     coding = theorem2_decompose(tr, fib)
     rng = random.Random(3)
-    b = coding.return_alphabet
+    b = coding.phi.source
     for _ in range(200):
         length = rng.randint(0, 10)
         u = Word(b, tuple(rng.randrange(len(b)) for _ in range(length)))
@@ -203,8 +204,8 @@ def test_verify_eq4_detects_corruption(ab, tr):
     coding = theorem2_decompose(tr, fib)
     images = list(coding.phi.images)
     bad = Word(ab, images[0].symbols + (0,))
-    broken = Morphism(coding.return_alphabet, ab, tuple([bad] + images[1:]))
-    u = Word(coding.return_alphabet, (0, 1))
+    broken = Morphism(coding.phi.source, ab, tuple([bad] + images[1:]))
+    u = Word(coding.phi.source, (0, 1))
     assert not verify_eq4(tr, broken, coding.p, u)
 
 
@@ -254,7 +255,7 @@ def test_verify_eq4_matches_word_level_oracle():
         if len(occ) < 2:
             continue
         coding = _return_coding(theta, word, p, occ)
-        phi, b = coding.phi, coding.return_alphabet
+        phi, b = coding.phi, coding.phi.source
         if trial % 2:
             images = list(phi.images)
             images[rng.randrange(len(b))] = random_word(rng, theta, rng.randint(0, 4))
@@ -282,7 +283,7 @@ def test_return_coding_fibonacci_frozen(tr, ab):
     fib = fibonacci_source().prefix(4000)
     coding = theorem2_decompose(tr, fib)
     assert coding.p.text == "a"
-    assert tuple(x.text for x in coding.returns) == ("ab", "a")
+    assert tuple(x.text for x in coding.phi.images) == ("ab", "a")
     assert coding.eq3_ok
     assert coding.m == 2
     v = coding.v_prefix
@@ -293,15 +294,15 @@ def test_return_coding_aba(tr, ab):
     fib = fibonacci_source().prefix(4000)
     p = w(ab, "aba")
     coding = _return_coding(tr, fib, p, occurrences(fib, p))
-    assert tuple(x.text for x in coding.returns) == ("aba", "ab")
+    assert tuple(x.text for x in coding.phi.images) == ("aba", "ab")
     assert coding.eq3_ok
     covered = apply_morphism(coding.phi, coding.v_prefix)
-    assert covered.symbols == fib.symbols[:coding.covered_length]
+    assert covered.symbols == fib.symbols[:coding.occurrence_indices[-1]]
 
 
 def test_return_coding_exchange_standard(ab):
     swap = Antimorphism.from_pairs(ab, [("a", "b")])
-    src = theta_standard_with_seed_source(
+    src = ClosureSource(
         swap, Word(ab, ()), DirectiveSequence.parse(ab, "", "ab"))
     u = src.prefix(8000)
     coding = theorem2_decompose(swap, u)
@@ -314,7 +315,7 @@ def test_return_coding_exchange_standard(ab):
 
 def test_return_coding_rejects_hopeless_input(tr):
     # no palindromic prefix clears the empirical threshold on Thue-Morse
-    tm = thue_morse_source().prefix(2000)
+    tm = ThueMorseSource().prefix(2000)
     with pytest.raises(DecomposeError) as info:
         theorem2_decompose(tr, tm)
     assert info.value.payload["empirical_threshold"] > 1

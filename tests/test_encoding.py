@@ -11,8 +11,7 @@ import pytest
 from palrich.cli import main
 from palrich.core import Alphabet, Antimorphism, Word, encode, find, occurrences
 from palrich.decompose import _mirror_bounded_witnesses
-from palrich.generators import DirectiveSequence, fibonacci_source, \
-    theta_standard_with_seed_source
+from palrich.generators import ClosureSource, DirectiveSequence, fibonacci_source
 from palrich.returns import crw_palindromicity_scan
 from oracles import crw_outcome, crw_words, letter_check_crw_scan, \
     radius_table_condition_i, slice_occurrences
@@ -172,7 +171,7 @@ def test_decompose_reports_match_two_letters(tmp_path, k, method, word):
         theta_two = theta_many = "reversal"
     else:
         swap = Antimorphism.from_pairs(Alphabet(("a", "b")), [("a", "b")])
-        prefix = theta_standard_with_seed_source(
+        prefix = ClosureSource(
             swap, Word(swap.alphabet, ()),
             DirectiveSequence.parse(swap.alphabet, "", "ab")).prefix(2000)
         theta_two, theta_many = "pairs:a-b", str(tmp_path / "theta.json")

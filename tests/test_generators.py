@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 from palrich.core import Alphabet, Antimorphism, InputError, Word
 from palrich.palindromes import defect, theta_pal_closure
 from palrich.generators import (
+    ClosureSource,
     DirectiveSequence,
+    PeriodicSource,
+    ThueMorseSource,
     arnoux_rauzy_check,
     episturmian_source,
     fibonacci_source,
-    periodic_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
     tribonacci_source,
 )
 from conftest import random_involution, random_word, w
@@ -26,14 +26,14 @@ def test_directive_sequence(ab):
 
 
 def test_periodic_source(ab):
-    src = periodic_source(w(ab, "abb"))
+    src = PeriodicSource(w(ab, "abb"))
     assert src.prefix(7).text == "abbabba"
     assert src.prefix(0).text == ""
     assert src.describe()["period"] == "abb"
 
 
 def test_thue_morse_prefix_frozen():
-    src = thue_morse_source()
+    src = ThueMorseSource()
     assert src.prefix(8).text == "abbabaab"
     assert src.prefix(16).text == "abbabaabbaababba"
 
@@ -45,7 +45,7 @@ def test_fibonacci_prefix_frozen(ab):
 
 
 def test_prefix_consistency():
-    for src in (fibonacci_source(), tribonacci_source(), thue_morse_source()):
+    for src in (fibonacci_source(), tribonacci_source(), ThueMorseSource()):
         long = src.prefix(500)
         for n in (0, 1, 7, 100, 499):
             assert src.prefix(n).symbols == long.symbols[:n]
@@ -65,7 +65,7 @@ def test_tribonacci_matches_manual_closure():
 def test_closure_steps_are_nested(ab):
     swap = Antimorphism.from_pairs(ab, [("a", "b")])
     d = DirectiveSequence.parse(ab, "", "ab")
-    word = theta_standard_with_seed_source(swap, Word(ab, ()), d).prefix(200)
+    word = ClosureSource(swap, Word(ab, ()), d).prefix(200)
     step, k = theta_pal_closure(swap, Word(ab, ())), 0
     while len(step) <= 200:
         # each construction step is a Theta-palindromic prefix
@@ -77,10 +77,10 @@ def test_closure_steps_are_nested(ab):
 
 def test_theta_standard_with_seed_frozen(ab):
     swap = Antimorphism.from_pairs(ab, [("a", "b")])
-    src = theta_standard_with_seed_source(
+    src = ClosureSource(
         swap, Word(ab, ()), DirectiveSequence.parse(ab, "", "ab"))
     assert src.prefix(14).text == "abbaababbaabba"
-    src2 = theta_standard_with_seed_source(
+    src2 = ClosureSource(
         swap, w(ab, "aa"), DirectiveSequence.parse(ab, "", "ab"))
     assert src2.prefix(4).text == "aabb"
 
@@ -89,7 +89,7 @@ def test_episturmian_equals_reversal_seedless(ab):
     tr = Antimorphism.reversal(ab)
     d = DirectiveSequence.parse(ab, "", "ab")
     a = episturmian_source(d)
-    b = theta_standard_with_seed_source(tr, Word(ab, ()), d)
+    b = ClosureSource(tr, Word(ab, ()), d)
     assert a.prefix(300) == b.prefix(300)
 
 
@@ -98,11 +98,11 @@ def test_arnoux_rauzy_check():
     assert arnoux_rauzy_check(fib, 20, 2).ok
     trib = tribonacci_source().prefix(3000)
     assert arnoux_rauzy_check(trib, 20, 3).ok
-    tm = thue_morse_source().prefix(3000)
+    tm = ThueMorseSource().prefix(3000)
     rep = arnoux_rauzy_check(tm, 20, 2)
     assert not rep.ok and rep.first_failure is not None
     ab = Alphabet(("a", "b"))
-    per = periodic_source(Word.from_text(ab, "ab")).prefix(300)
+    per = PeriodicSource(Word.from_text(ab, "ab")).prefix(300)
     assert not arnoux_rauzy_check(per, 10, 2).ok
 
 
@@ -113,7 +113,7 @@ def test_generated_words_have_zero_defect(ab):
     abc = Alphabet(("a", "b", "c"))
     assert defect(Antimorphism.reversal(abc), tribonacci_source().prefix(2000)) == 0
     # seeded exchange-standard words have finite, eventually constant defect
-    src = theta_standard_with_seed_source(
+    src = ClosureSource(
         swap, Word(ab, ()), DirectiveSequence.parse(ab, "", "ab"))
     assert defect(swap, src.prefix(5000)) == 2
 
@@ -134,10 +134,10 @@ def test_arnoux_rauzy_first_failure(ab, text, valence, first_failure, reason):
 
 
 @pytest.mark.parametrize("make", [
-    lambda ab: periodic_source(w(ab, "abb")),
-    lambda ab: thue_morse_source(),
+    lambda ab: PeriodicSource(w(ab, "abb")),
+    lambda ab: ThueMorseSource(),
     lambda ab: fibonacci_source(),
-    lambda ab: theta_standard_with_seed_source(
+    lambda ab: ClosureSource(
         Antimorphism.reversal(ab), w(ab, "abbbbbbbb"),
         DirectiveSequence.parse(ab, "", "ab")),
 ], ids=["periodic", "thue_morse", "fibonacci", "theta_standard_seed"])
@@ -151,7 +151,7 @@ def test_negative_prefix_length_rejected(ab, make):
 
 def assert_closure_matches_oracle(theta, seed, d, m, m2):
     # each source is grown twice, so the second call extends the first
-    src = theta_standard_with_seed_source(theta, seed, d)
+    src = ClosureSource(theta, seed, d)
     ref = AppendLoopClosureSource(theta, seed, d)
     for n in (m, m2):
         assert src.prefix(n) == ref.prefix(n)

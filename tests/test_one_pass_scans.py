@@ -20,11 +20,11 @@ from palrich.decompose import (
     theorem1_decompose,
 )
 from palrich.generators import (
+    ClosureSource,
     DirectiveSequence,
+    ThueMorseSource,
     arnoux_rauzy_check,
     fibonacci_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
 )
 from palrich.rauzy import special_extensions
 from conftest import (
@@ -79,7 +79,7 @@ def derived_words(n: int):
             (abc, [("a", "b"), ("c", "c")], "", "abc"),
             (ab, [("a", "a"), ("b", "b")], "ab", "ab")):
         theta = Antimorphism.from_pairs(letters, pairs)
-        src = theta_standard_with_seed_source(
+        src = ClosureSource(
             theta, Word.from_text(letters, seed),
             DirectiveSequence.parse(letters, "", period))
         yield _bispecial_coding(theta, src.prefix(n))[1]
@@ -119,7 +119,7 @@ def test_random_words_match_oracles(data):
         d = DirectiveSequence(random_word(rng, theta, data.draw(st.integers(0, 3))),
                               random_word(rng, theta, data.draw(st.integers(1, 4))))
         seed = random_word(rng, theta, data.draw(st.integers(0, 3)))
-        word = theta_standard_with_seed_source(theta, seed, d).prefix(
+        word = ClosureSource(theta, seed, d).prefix(
             data.draw(st.integers(1, 300)))
     assert_ar_matches(word, data.draw(st.integers(1, len(word))),
                       data.draw(st.integers(1, 4)))
@@ -265,7 +265,7 @@ def test_arnoux_rauzy_check_builds_one_automaton(monkeypatch, ab):
         init(self, symbols)
     monkeypatch.setattr(_SuffixAutomaton, "__init__", counting_init)
     cases = [(fibonacci_source().prefix(3000), 20, 2),
-             (thue_morse_source().prefix(3000), 20, 2),
+             (ThueMorseSource().prefix(3000), 20, 2),
              (w(ab, "aaabbb"), 6, 2), (w(ab, "aaba"), 6, 2),
              (w(ab, "abaababaab"), 6, 3)]
     for word, max_len, valence in cases:

@@ -31,15 +31,12 @@ def assert_same_index(cols: PalIndex, nodes: NodePalIndex) -> None:
 
 
 def feed_in_chunks(theta, symbols, cuts) -> None:
-    # one letter by append, longer chunks by extend; compared after each
+    # one letter or a longer chunk per extend; compared after each
     cols, nodes = PalIndex(theta), NodePalIndex(theta)
     bounds = [0, *sorted(cuts), len(symbols)]
     for lo, hi in zip(bounds, bounds[1:]):
         chunk = symbols[lo:hi]
-        if len(chunk) == 1:
-            cols.append(chunk[0])
-        else:
-            cols.extend(chunk)
+        cols.extend(chunk)
         nodes.extend(chunk)
         assert_same_index(cols, nodes)
 
@@ -89,7 +86,7 @@ def test_invalid_letter_raises_after_indexing_the_letters_before_it(tr):
         nodes.extend((0, 1, 1))
         assert_same_index(cols, nodes)
         with pytest.raises(InputError, match=f"^invalid letter index {bad}$"):
-            cols.append(bad)
+            cols.extend((bad,))
         assert_same_index(cols, nodes)
         # the index stays usable
         cols.extend((0, 1, 1, 0))

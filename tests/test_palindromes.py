@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palrich.core import Alphabet, Antimorphism, InputError, InvariantError, Word
-from palrich.generators import fibonacci_source, thue_morse_source
+from palrich.generators import ThueMorseSource, fibonacci_source
 from palrich.palindromes import (
     PalIndex,
     defect,
@@ -49,21 +49,21 @@ def test_pal_index_append_reports(ab, tr, swap):
     idx = PalIndex(tr)
     idx.extend(w(ab, "ab").symbols)
     before = idx.pal_count
-    assert idx.append(ab.index("a")) is None
+    assert idx.extend((ab.index("a"),)) is None
     assert idx.pal_count == before + 1
     assert idx.lps_length == 3
     assert lps_word(idx, w(ab, "aba")).text == "aba"
 
     idx = PalIndex(swap)
-    idx.append(ab.index("a"))
+    idx.extend((ab.index("a"),))
     before = idx.pal_count
-    idx.append(ab.index("b"))
+    idx.extend((ab.index("b"),))
     assert idx.pal_count == before + 1
     assert idx.lps_length == 2
     assert lps_word(idx, w(ab, "ab")).text == "ab"
 
     idx = PalIndex(swap)
-    idx.append(ab.index("a"))
+    idx.extend((ab.index("a"),))
     assert idx.pal_count == 1  # "a" is not an E-palindrome: only epsilon
     assert idx.lps_length == 0
 
@@ -77,7 +77,7 @@ def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
                 seen = {Word(ab, ())}
                 for k, s in enumerate(bits, start=1):
                     before = idx.pal_count
-                    idx.append(s)
+                    idx.extend((s,))
                     prefix = word.factor(0, k)
                     oracle = distinct_theta_palindromes_naive(theta, prefix)
                     assert idx.pal_count == len(oracle)
@@ -120,7 +120,7 @@ def test_pal_index_unioccurrence_against_occurrence_count(ab, tr, swap):
             idx = PalIndex(theta)
             for k, s in enumerate(word.symbols, start=1):
                 before = idx.pal_count
-                idx.append(s)
+                idx.extend((s,))
                 if idx.lps_length > 0:
                     prefix = word.factor(0, k)
                     uni = occurrence_count(prefix, lps_word(idx, prefix)) == 1
@@ -156,10 +156,10 @@ def test_defect_profile(ab, tr):
 
 def test_thue_morse_prefix_defect_frozen(tr):
     # value computed with the quadratic oracle before freezing
-    tm64 = thue_morse_source().prefix(64)
+    tm64 = ThueMorseSource().prefix(64)
     assert len(distinct_theta_palindromes_naive(tr, tm64)) == 53
     assert defect(tr, tm64) == 64 + 1 - 0 - 53 == 12
-    assert defect_profile(tr, tm64).final() == 12
+    assert defect_profile(tr, tm64).values[-1] == 12
 
 
 def test_defect_profile_matches_per_prefix_oracle_and_monotonicity(ab, tr, swap):

@@ -18,7 +18,7 @@ from palrich.decompose import (
     _candidate_prefix_lengths,
     theorem2_decompose,
 )
-from palrich.generators import DirectiveSequence, theta_standard_with_seed_source
+from palrich.generators import ClosureSource, DirectiveSequence
 from conftest import every_involution, random_involution, random_word
 from oracles import letter_check_theorem2, special_extensions_theorem3_coding
 from test_crw_lemma import CORPUS_4000
@@ -56,7 +56,7 @@ def test_selection_matches_oracle_on_random_words(data):
         seed = random_word(rng, theta, data.draw(st.integers(0, 3)))
         d = DirectiveSequence(random_word(rng, theta, data.draw(st.integers(0, 3))),
                               random_word(rng, theta, data.draw(st.integers(1, 4))))
-        word = theta_standard_with_seed_source(theta, seed, d).prefix(
+        word = ClosureSource(theta, seed, d).prefix(
             data.draw(st.integers(1, 400)))
     assert_same_selection(theta, word)
 

@@ -28,7 +28,11 @@ from conftest import (
     random_involution,
     random_word,
 )
-from oracles import dfs_check_proposition1, symbols_are_theta_palindrome
+from oracles import (
+    dfs_check_proposition1,
+    proposition1_holds,
+    symbols_are_theta_palindrome,
+)
 
 
 def assert_same(g: SuperReducedRauzyGraph, theta: Antimorphism):
@@ -59,8 +63,8 @@ def test_every_short_word_at_every_length():
                 for sym in itertools.product(range(k), repeat=length):
                     word = Word(theta.alphabet, sym)
                     for n in range(1, length + 1):
-                        fails += not assert_same(build_graph(theta, word, n),
-                                                 theta).holds
+                        fails += not proposition1_holds(
+                            assert_same(build_graph(theta, word, n), theta))
     assert fails > 1000
 
 
@@ -68,7 +72,7 @@ def test_every_short_word_at_every_length():
                          ids=[name for name, _, _ in corpus(0)])
 def test_corpus_up_to_64(name, theta, word):
     failing = [n for n in range(1, 65)
-               if not assert_same(build_graph(theta, word, n), theta).holds]
+               if not proposition1_holds(assert_same(build_graph(theta, word, n), theta))]
     # the rich words pass at every n; thue_morse fails from n = 3 on, and
     # the almost rich Theta-standard words without seed at n = 1 and 2
     if name in ("fibonacci", "tribonacci", "ts_seeded_rev"):

@@ -9,7 +9,7 @@ from palrich.returns import (
     return_structure,
     unioccurrent_lps_scan,
 )
-from palrich.generators import fibonacci_source, periodic_source, thue_morse_source
+from palrich.generators import PeriodicSource, ThueMorseSource, fibonacci_source
 from conftest import random_involution, random_word, w
 from oracles import crw_words, occurrences_alternate
 
@@ -23,7 +23,7 @@ def test_fibonacci_returns_of_a(ab):
 
 
 def test_periodic_returns(ab):
-    word = periodic_source(w(ab, "ab")).prefix(100)
+    word = PeriodicSource(w(ab, "ab")).prefix(100)
     rs = return_structure(word, w(ab, "ab"))
     assert {x.text for x in rs.complete_returns} == {"abab"}
     assert {x.text for x in rs.returns} == {"ab"}
@@ -54,7 +54,7 @@ def test_returns_consistency_random(ab, tr):
 
 
 def test_occurrences_alternate(ab, swap, tr):
-    word = periodic_source(w(ab, "ab")).prefix(40)
+    word = PeriodicSource(w(ab, "ab")).prefix(40)
     ok, _ = occurrences_alternate(tr, word, w(ab, "ab"))
     assert ok
     ok, first_bad = occurrences_alternate(tr, word, w(ab, "aba"))
@@ -74,12 +74,12 @@ def test_mirror_bounded_palindromicity(ab, tr, swap):
     fib = fibonacci_source().prefix(1000)
     ok, wit = mirror_bounded_palindromicity(tr, fib, w(ab, "ab"))
     assert ok and wit == []
-    tm = thue_morse_source().prefix(400)
+    tm = ThueMorseSource().prefix(400)
     ok, wit = mirror_bounded_palindromicity(tr, tm, w(ab, "aab"))
     assert not ok
     assert all(x.symbols[:3] == w(ab, "aab").symbols for x in wit)
     assert all(x.symbols[-3:] == w(ab, "baa").symbols for x in wit)
-    word = periodic_source(w(ab, "ab")).prefix(60)
+    word = PeriodicSource(w(ab, "ab")).prefix(60)
     ok, _ = mirror_bounded_palindromicity(swap, word, w(ab, "a"))
     assert ok
 
@@ -93,7 +93,7 @@ def test_crw_scan_clean_on_fibonacci(tr):
 
 
 def test_crw_scan_flags_thue_morse(tr):
-    tm = thue_morse_source().prefix(600)
+    tm = ThueMorseSource().prefix(600)
     report = crw_palindromicity_scan(tr, tm)
     assert report.violations
     factor, complete_return = crw_words(report)[0]
@@ -110,7 +110,7 @@ def test_unioccurrent_lps_scan(ab, tr):
     assert unioccurrent_lps_scan(tr, w(ab, "abaab")) is None
     fib = fibonacci_source().prefix(3000)
     assert unioccurrent_lps_scan(tr, fib) is None
-    tm = thue_morse_source().prefix(3000)
+    tm = ThueMorseSource().prefix(3000)
     assert unioccurrent_lps_scan(tr, tm) is not None
 
 

@@ -9,7 +9,7 @@ from palrich.cli import main
 from palrich.core import Alphabet, Antimorphism, Word
 from palrich import complexity
 from palrich.complexity import closed_under_theta, complexity_table
-from palrich.generators import thue_morse_source
+from palrich.generators import ThueMorseSource
 from palrich.palindromes import PalIndex, defect_profile, pal_index, \
     pal_prefix_lengths
 from palrich.returns import crw_palindromicity_scan
@@ -111,8 +111,8 @@ def test_automaton_over_large_alphabet_matches_oracle():
 def test_memo_switches_words(tr, swap):
     # a, b, then a again: each answer must be that word's, never the
     # previous word's; b has a's letters under another Theta
-    tm = thue_morse_source().prefix(300)
-    other = thue_morse_source().prefix(200)
+    tm = ThueMorseSource().prefix(300)
+    other = ThueMorseSource().prefix(200)
     for theta, word in ((tr, tm), (swap, tm), (tr, other), (tr, tm)):
         assert_readers_match_oracles(theta, word)
 
@@ -151,8 +151,8 @@ def test_analyze_builds_one_suffix_automaton(capsys, monkeypatch):
       "--seed-word", "ab", "--directive", "(ab)"], 402),
 ])
 def test_closure_words_append_each_letter_once(capsys, monkeypatch, argv, appends):
-    # letters given to append or extend from outside the index; append is a
-    # one-letter extend, so the call it makes is not counted again
+    # letters given to extend from outside the index; the call extend makes
+    # on the letters before an invalid one is not counted again
     sizes, depth = [], []
 
     def counting(method, size):
@@ -165,7 +165,6 @@ def test_closure_words_append_each_letter_once(capsys, monkeypatch, argv, append
             finally:
                 depth.pop()
         return wrapper
-    monkeypatch.setattr(PalIndex, "append", counting(PalIndex.append, lambda a: 1))
     monkeypatch.setattr(PalIndex, "extend", counting(PalIndex.extend, len))
     pal_index.cache_clear()
     assert main(["analyze", *argv, "--len", "400"]) == 0

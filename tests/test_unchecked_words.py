@@ -19,12 +19,12 @@ from palrich.core import (
     word_from_file,
 )
 from palrich.generators import (
+    ClosureSource,
     DirectiveSequence,
+    PeriodicSource,
+    ThueMorseSource,
     episturmian_source,
     fibonacci_source,
-    periodic_source,
-    theta_standard_with_seed_source,
-    thue_morse_source,
     tribonacci_source,
 )
 from conftest import random_involution
@@ -32,7 +32,7 @@ from oracles import popcount_thue_morse
 
 
 def test_thue_morse_doubling_matches_popcount_rule():
-    src = thue_morse_source()
+    src = ThueMorseSource()
     expected = popcount_thue_morse(1101)
     for n in range(1101):
         assert src.prefix(n).symbols == expected[:n]
@@ -59,17 +59,17 @@ def _sources():
     ab, abc = Alphabet(("a", "b")), Alphabet(("a", "b", "c"))
     yield "fibonacci", fibonacci_source()
     yield "tribonacci", tribonacci_source()
-    yield "thue_morse", thue_morse_source()
-    yield "periodic", periodic_source(Word.from_text(abc, "abcab"))
+    yield "thue_morse", ThueMorseSource()
+    yield "periodic", PeriodicSource(Word.from_text(abc, "abcab"))
     yield "episturmian", episturmian_source(DirectiveSequence.parse(abc, "aab", "bca"))
-    yield "periodic-2", periodic_source(Word.from_text(ab, "b"))
+    yield "periodic-2", PeriodicSource(Word.from_text(ab, "b"))
     rng = random.Random(21)
     for trial in range(24):
         theta = (random_involution(rng, rng.randint(1, 4)) if trial < 20
                  else _involution_300(rng))
         ab = theta.alphabet
         d = DirectiveSequence(_word(rng, ab, 0, 3), _word(rng, ab, 1, 4))
-        yield f"theta_standard-{trial}", theta_standard_with_seed_source(
+        yield f"theta_standard-{trial}", ClosureSource(
             theta, _word(rng, ab, 0, 4), d)
 
 
