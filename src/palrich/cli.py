@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--method", choices=["path", "return", "theorem3"],
                    required=True)
     d.add_argument("--n", type=int, help="coding length for --method path")
-    d.add_argument("--max-factor-len", type=int, default=None)
+    d.add_argument("--max-factor-len", type=int, default=None, help="longest factor length "
+                   "condition (i) scans; default half of v, at most 64")
     d.set_defaults(func=cmd_decompose)
 
     g = sub.add_parser("generate", help="dump a generated prefix")

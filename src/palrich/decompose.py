@@ -213,13 +213,23 @@ class RichnessConditionsReport(Record):
 
 def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
                               max_factor_len: int) -> list[Word]:
-    # every minimal factor from w to Theta(w) that is not a Theta-palindrome,
-    # for |w| up to max_factor_len, by (|w|, first occurrence of w, of the
-    # factor), stopping at the length that reaches REPORTED_WITNESSES.  No
-    # mark w or Theta(w) starts strictly inside such a segment u, so each
-    # occurrence of u is one.  A table of suffixes sorted by their first
-    # 2 * max_factor_len letters holds those starting with a shorter u in one
-    # block, cut once; a longer u is cut at each of its occurrences.
+    """Every minimal factor from w to Theta(w) that is not a Theta-palindrome,
+    for |w| up to ``max_factor_len``, by (|w|, first occurrence of w, of the
+    factor), stopping at the length that reaches ``REPORTED_WITNESSES``.
+
+    No mark w or Theta(w) starts strictly inside such a segment u, so each
+    occurrence of u is one.  Suffixes sorted by their first 2 * max_factor_len
+    letters hold the occurrences of w in one run, those starting with a
+    shorter u in one block, cut once; a longer u is cut at each occurrence.
+    But x = y a (|x| >= 2) keeps y's segments and keys if x != Theta(x),
+    #occ(x) = #occ(y) - [v ends with y] and #occ(Theta(x)) = #occ(Theta(y))
+    - [v starts with Theta(y)] (run sizes): x occurs where y does but at the
+    end, Theta(x) = Theta(a) Theta(y) one letter left of each Theta(y) but at
+    0.  So y's segment from i to a Theta(y) at t is x's from i to the Theta(x)
+    at t - 1 > i (t - 1 = i makes x = Theta(x)), none starting between; if
+    y's next mark is a y and no Theta(y), or none, x has none from i either.
+    Only the other factors, special ones (Cassaigne 1997) among them, are cut.
+    """
     sym, seq, width = v_prefix.symbols, v_prefix.encoded, v_prefix.alphabet.width
     mirror = encode(theta2.image(sym), width)   # Theta(seq[i:j]) is mirror[n - j:n - i]
     top = min(max_factor_len, len(sym))
@@ -232,15 +242,25 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
         if a != b:  # a sorts first: no mismatch makes it a prefix of b
             h = next((k for k, (c, d) in enumerate(zip(a, b)) if c != d), len(a))
             cut_at[h // width].append(j)
-    cuts, witnesses = [0, len(sa)], []
+    # runs: w -> (s, e) in sa; found: w -> {segment: (first occurrence of w, of it)}
+    cuts, witnesses, runs, found = [0, len(sa)], [], {}, {}
     for length in range(1, top + 1):
         cuts = sorted(cuts + cut_at[length - 1])  # the factors lie between
         size = length * width
+        prev_runs, prev_found = runs, found
         runs = {seq[sa[s]:sa[s] + size]: (s, e)
                 for s, e in zip(cuts, cuts[1:]) if n - sa[s] >= size}
-        found: dict = {}    # segment -> (first occurrence of w, of segment)
+        head, tail, found = seq[:size - width], seq[n - size + width:], {}
         for x, (s, e) in runs.items():
             tx = mirror[n - sa[s] - size:n - sa[s]]
+            if length > 1 and tx != x:
+                y, ty = x[:-width], tx[width:]
+                (ys, ye), (ts, te) = prev_runs[y], runs.get(tx, (0, 0))
+                us, ue = prev_runs.get(ty, (0, 0))
+                if e - s == ye - ys - (y == tail) and te - ts == ue - us - (ty == head):
+                    found[x] = prev_found[y]
+                    continue
+            segments = found[x] = {}
             j = s if tx in runs else e  # Theta(x) must occur
             while j < e:
                 i1 = sa[j]
@@ -251,11 +271,12 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
                 u = seq[i1:mark + size]
                 k = j + 1 if mark < 0 or len(u) > 2 * span else bisect_right(
                     sa, u, j + 1, e, key=lambda i, m=len(u): seq[i:i + m])
-                if t >= 0 and u not in found and mirror[n - i1 - len(u):n - i1] != u:
-                    found[u] = (min(sa[s:e]), min(sa[j:k]))
+                if t >= 0 and u not in segments and mirror[n - i1 - len(u):n - i1] != u:
+                    segments[u] = (min(sa[s:e]), min(sa[j:k]))
                 j = k
+        keyed = sorted((key, u) for segments in found.values() for u, key in segments.items())
         witnesses.extend(Word.unchecked(v_prefix.alphabet, sym[i // width:(i + len(u)) // width])
-                         for u, (_, i) in sorted(found.items(), key=lambda kv: kv[1]))
+                         for (_, i), u in keyed)   # no two segments share a key
         if len(witnesses) >= REPORTED_WITNESSES:
             break
     return witnesses

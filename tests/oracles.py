@@ -10,7 +10,10 @@ chosen and coded.  The theorem 1 selection lists the special factors of
 every length it tries, and so does the Arnoux-Rauzy check.  The condition
 (i) sweeps visit every window of every length, where the library cuts each
 distinct minimal segment once from a sorted suffix table; one tests each
-segment in a radius table, the other compares it with its Theta-image.
+segment in a radius table, the other compares it with its Theta-image.  The
+sorted suffix table scan cuts the segments of every factor, where the library
+gives a factor y a that is no Theta-palindrome the segments of y when y has
+one right extension and Theta(y) one left extension in v.
 Condition (ii) merges the occurrence lists of each letter and its image,
 where the library makes one pass over v, and equations (3) and (4) are
 checked on ``Word``s, where the library compares symbol tuples.  The
@@ -27,6 +30,7 @@ library makes one union-find pass over the edges.  The Thue-Morse letter at
 i is the parity of the ones in the binary expansion of i, where the library
 doubles a block of bytes by its complement.
 """
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +42,9 @@ from palrich.core import (
     Morphism,
     Word,
     _check_same,
+    encode,
     factor_tuples,
+    find,
     occurrences,
     segment_coding,
 )
@@ -636,6 +642,61 @@ def window_condition_i(theta2: Antimorphism, v: Word,
                 found[seg] = (seen[h][1], i1)
         witnesses.extend(Word(v.alphabet, tuple(seg))
                          for seg in sorted(found, key=found.__getitem__))
+        if len(witnesses) >= REPORTED_WITNESSES:
+            break
+    return witnesses
+
+
+def sorted_suffix_condition_i(theta2: Antimorphism, v_prefix: Word,
+                              max_factor_len: int) -> list[Word]:
+    """``decompose._mirror_bounded_witnesses`` cutting the minimal segments
+    of every factor at every length from the sorted suffix table, where the
+    library carries them over from a factor's prefix one letter shorter when
+    that prefix has one right extension and its Theta-image one left one.
+
+    Every minimal factor from w to Theta(w) that is not a Theta-palindrome,
+    for |w| up to max_factor_len, by (|w|, first occurrence of w, of the
+    factor).  No mark w or Theta(w) starts strictly inside such a segment u,
+    so each occurrence of u is one.  A table of suffixes sorted by their
+    first 2 * max_factor_len letters holds those starting with a shorter u in
+    one block, cut once; a longer u is cut at each of its occurrences.
+    """
+    sym, seq, width = v_prefix.symbols, v_prefix.encoded, v_prefix.alphabet.width
+    mirror = encode(theta2.image(sym), width)   # Theta(seq[i:j]) is mirror[n - j:n - i]
+    top = min(max_factor_len, len(sym))
+    n, span = len(seq), top * width
+    sa = sorted(range(0, n, width), key=lambda i: seq[i:i + 2 * span])
+    # cut_at[h]: the indices j whose suffix shares h < top letters with j - 1's
+    cut_at: list[list[int]] = [[] for _ in range(top)]
+    for j in range(1, len(sa)):
+        a, b = seq[sa[j - 1]:sa[j - 1] + span], seq[sa[j]:sa[j] + span]
+        if a != b:  # a sorts first: no mismatch makes it a prefix of b
+            h = next((k for k, (c, d) in enumerate(zip(a, b)) if c != d), len(a))
+            cut_at[h // width].append(j)
+    cuts, witnesses = [0, len(sa)], []
+    for length in range(1, top + 1):
+        cuts = sorted(cuts + cut_at[length - 1])  # the factors lie between
+        size = length * width
+        runs = {seq[sa[s]:sa[s] + size]: (s, e)
+                for s, e in zip(cuts, cuts[1:]) if n - sa[s] >= size}
+        found: dict = {}    # segment -> (first occurrence of w, of segment)
+        for x, (s, e) in runs.items():
+            tx = mirror[n - sa[s] - size:n - sa[s]]
+            j = s if tx in runs else e  # Theta(x) must occur
+            while j < e:
+                i1 = sa[j]
+                q = find(seq, x, width, i1 + width, n)
+                t = q if tx == x else find(seq, tx, width, i1 + width,
+                                           n if q < 0 else q + size - width)
+                mark = t if t >= 0 else q
+                u = seq[i1:mark + size]
+                k = j + 1 if mark < 0 or len(u) > 2 * span else bisect_right(
+                    sa, u, j + 1, e, key=lambda i, m=len(u): seq[i:i + m])
+                if t >= 0 and u not in found and mirror[n - i1 - len(u):n - i1] != u:
+                    found[u] = (min(sa[s:e]), min(sa[j:k]))
+                j = k
+        witnesses.extend(Word.unchecked(v_prefix.alphabet, sym[i // width:(i + len(u)) // width])
+                         for u, (_, i) in sorted(found.items(), key=lambda kv: kv[1]))
         if len(witnesses) >= REPORTED_WITNESSES:
             break
     return witnesses
