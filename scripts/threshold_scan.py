@@ -18,8 +18,7 @@ from palrich.generators import (
     ThueMorseSource,
     fibonacci_source,
 )
-from palrich.palindromes import crw_violation_lengths, defect
-from palrich.returns import unioccurrent_lps_scan
+from palrich.palindromes import crw_violation_lengths, defect_profile
 
 
 def corpus():
@@ -49,8 +48,9 @@ def main() -> int:
             w = src.prefix(n)
             # the threshold of crw_palindromicity_scan, read from the index
             crw_thr = 1 + max(crw_violation_lengths(theta, w.symbols), default=0)
-            last = unioccurrent_lps_scan(theta, w)
-            print(f"{name:12s} {n:6d} {defect(theta, w):6d} {crw_thr:8d} "
+            profile = defect_profile(theta, w)
+            last = profile.last_increment
+            print(f"{name:12s} {n:6d} {profile.values[-1]:6d} {crw_thr:8d} "
                   f"{'-' if last is None else last:>9}")
             n *= 2
     return 0

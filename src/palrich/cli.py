@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="palrich",
         description="Analysis of words with respect to an involutive "
                     "antimorphism: palindromic defect, complexity gaps, Rauzy "
-                    "graphs, return words and richness decompositions.")
+                    "graphs, return words and richness decompositions.",
+        epilog="exit codes: 0 success, 1 input error, 2 inconclusive, "
+               "3 internal invariant violated")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -145,6 +145,8 @@ def _factor_counts(theta: Antimorphism, symbols: tuple) -> _FactorCounts:
 
 
 def default_safe_length(prefix_length: int, divisor: int = DEFAULT_SAFE_DIVISOR) -> int:
+    if divisor < 1:
+        raise InputError(f"safe-length divisor must be at least 1, got {divisor}")
     return max(1, prefix_length // divisor)
 
 

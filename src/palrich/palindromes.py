@@ -1,6 +1,6 @@
 """Distinct Theta-palindromic factors, defect, closure and suffix queries.
 
-``PalIndex`` is an incremental generalized palindromic tree.  A
+``PalIndex`` is a generalized palindromic tree, built whole.  A
 Theta-palindrome ending with letter ``a`` must begin with ``Theta(a)``, so
 the classical suffix-link walk looks for the preceding letter ``Theta(a)``
 instead of ``a``, and a length-1 node exists only for letters fixed by Theta.
@@ -22,64 +22,32 @@ from .core import (
 
 
 class PalIndex:
-    """Incremental index of distinct Theta-palindromic factors.
+    """Index of the distinct Theta-palindromic factors of one word.
 
     The tree is stored as parallel columns indexed by node: ``length``,
     ``link`` (the longest proper Theta-palindromic suffix), ``first_end``
     (where the node's first occurrence ends) and ``lps_of`` (the non-empty
     prefixes whose lps, longest Theta-palindromic suffix, it is).  Node 0 is
     the root of length -1, node 1 the empty palindrome; the edge from node v
-    by letter a is ``_next[v * k + a]``, k the alphabet size.
-
-    Single-writer: appends are strictly sequential.  A frozen index is safe
-    for concurrent read-only queries.
+    by letter a is ``_next[v * k + a]``, k the alphabet size.  ``lps_length``
+    is the length of the whole word's lps.  The constructor builds the index
+    in one pass over the letters and nothing changes it afterwards.
     """
 
-    def __init__(self, theta: Antimorphism):
-        self.theta = theta
-        self._sym: list[int] = [-1]     # a sentinel, then the letters
-        self.length = [-1, 0]
-        self.link = [0, 0]
-        self.first_end = [-1, -1]
-        self.lps_of = [0, 0]
-        self._next: dict[int, int] = {}
-        self._last = 1
-
-    # -- queries --------------------------------------------------------------
-
-    @property
-    def pal_count(self) -> int:
-        """#PalTheta of the processed prefix, epsilon included."""
-        return len(self.length) - 1
-
-    @property
-    def lps_length(self) -> int:
-        return self.length[self._last]
-
-    def palindrome_spans(self) -> list[tuple[int, int]]:
-        """(start, length) of the first occurrence of each distinct non-empty
-        Theta-palindromic factor seen, in order of that occurrence's end."""
-        return [(end + 1 - n, n)
-                for n, end in zip(self.length[2:], self.first_end[2:])]
-
-    # -- construction ---------------------------------------------------------
-
-    def extend(self, symbols) -> None:
-        symbols = tuple(symbols)
-        pair = self.theta.pairing
+    def __init__(self, theta: Antimorphism, symbols: tuple):
+        pair = theta.pairing
         k = len(pair)
         if symbols and not (0 <= min(symbols) and max(symbols) < k):
-            bad = next(j for j, a in enumerate(symbols) if not 0 <= a < k)
-            self.extend(symbols[:bad])
-            raise InputError(f"invalid letter index {symbols[bad]}")
-        sym, nxt, last = self._sym, self._next, self._last
-        length, link, first_end, lps_of = \
-            self.length, self.link, self.first_end, self.lps_of
-        for p, a in enumerate(symbols, len(sym) - 1):
+            bad = next(a for a in symbols if not 0 <= a < k)
+            raise InputError(f"invalid letter index {bad}")
+        sym = [-1, *symbols]    # a sentinel, then the letters
+        length, link, first_end, lps_of = [-1, 0], [0, 0], [-1, -1], [0, 0]
+        nxt: dict[int, int] = {}
+        last = 1
+        for p, a in enumerate(symbols):
             # v runs down the suffix palindromes of the prefix to the first
             # one preceded by Theta(a), at sym[p - length[v]]; the root,
             # node 0, takes a alone if a = Theta(a)
-            sym.append(a)
             ta = pair[a]
             v = last
             while v and sym[p - length[v]] != ta:
@@ -104,7 +72,22 @@ class PalIndex:
             nxt[key] = last
             first_end.append(p)
             lps_of.append(1)
-        self._last = last
+        self.theta = theta
+        self.length, self.link, self.first_end, self.lps_of = \
+            length, link, first_end, lps_of
+        self._next = nxt
+        self.lps_length = length[last]
+
+    @property
+    def pal_count(self) -> int:
+        """#PalTheta of the word, epsilon included."""
+        return len(self.length) - 1
+
+    def palindrome_spans(self) -> list[tuple[int, int]]:
+        """(start, length) of the first occurrence of each distinct non-empty
+        Theta-palindromic factor, in order of that occurrence's end."""
+        return [(end + 1 - n, n)
+                for n, end in zip(self.length[2:], self.first_end[2:])]
 
 
 class DefectProfile(Record):
@@ -130,16 +113,10 @@ class DefectProfile(Record):
 
 # --- derived operations ------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def pal_index(theta: Antimorphism, symbols: tuple) -> PalIndex:
-    """The PalIndex of ``symbols``, shared by every analysis of one word.
-
-    Callers only read it.  One entry suffices: every multi-analysis caller
-    asks about one word several times in a row.
-    """
-    idx = PalIndex(theta)
-    idx.extend(symbols)
-    return idx
+# The PalIndex of ``symbols``, shared by every analysis of one word; callers
+# only read it.  One entry suffices: every multi-analysis caller asks about
+# one word several times in a row.
+pal_index = lru_cache(maxsize=1)(PalIndex)
 
 
 def pal_prefix_lengths(theta: Antimorphism, symbols: tuple) -> list[int]:

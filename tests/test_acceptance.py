@@ -112,8 +112,7 @@ def test_criterion_2_index_oracle_equivalence():
         theta = random_involution(rng, k)
         cap = 300 if k == 1 else 2000
         word = random_word(rng, theta, min(_rand_length(rng, 150, 2000), cap))
-        idx = PalIndex(theta)
-        idx.extend(word.symbols)
+        idx = PalIndex(theta, word.symbols)
         if idx.pal_count != count_theta_palindromes_expand(theta, word):
             mismatches += 1
     corpus = [
@@ -125,8 +124,7 @@ def test_criterion_2_index_oracle_equivalence():
     for i in range(len(TS_FIXTURES)):
         corpus.append(ts_prefix(i, 20_000))
     for theta, word in corpus:
-        idx = PalIndex(theta)
-        idx.extend(word.symbols)
+        idx = PalIndex(theta, word.symbols)
         if idx.pal_count != count_theta_palindromes_expand(theta, word):
             mismatches += 1
     report(2, "palindrome index vs oracle", mismatches == 0,

@@ -189,6 +189,15 @@ def test_help_and_version_exit_0(capsys, argv):
     assert capsys.readouterr().out
 
 
+def test_help_names_the_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())   # argparse rewraps it
+    for code in ("0 success", "1 input error", "2 inconclusive",
+                 "3 internal invariant violated"):
+        assert code in text
+
+
 def test_out_flag_writes_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(capsys, "analyze", "--gen", "fibonacci",

@@ -21,6 +21,10 @@ def test_default_safe_length():
     assert default_safe_length(6400) == 100
     assert default_safe_length(10) == 1
     assert default_safe_length(6400, divisor=32) == 200
+    for divisor in (0, -3):
+        with pytest.raises(InputError, match=f"^safe-length divisor must be "
+                                             f"at least 1, got {divisor}$"):
+            default_safe_length(6400, divisor)
 
 
 def test_fibonacci_complexity_frozen(tr):

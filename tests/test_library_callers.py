@@ -14,7 +14,7 @@ SOURCES = [path for path in [*LIBRARY, *sorted((ROOT / "scripts").glob("*.py"))]
 
 # the benchmark harness binds these by name, so they stay until it unbinds them
 BOUND_BY_BENCHMARK = {"special_factors", "return_structure",
-                      "mirror_bounded_palindromicity"}
+                      "mirror_bounded_palindromicity", "unioccurrent_lps_scan"}
 
 
 def names_used(tree: ast.Module) -> set[str]:

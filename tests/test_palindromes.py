@@ -46,24 +46,19 @@ def test_naive_oracle_agrees_with_definition_exhaustively(ab, tr, swap):
 
 def test_pal_index_append_reports(ab, tr, swap):
     # a new palindrome shows as a pal_count step of one; it is the lps
-    idx = PalIndex(tr)
-    idx.extend(w(ab, "ab").symbols)
-    before = idx.pal_count
-    assert idx.extend((ab.index("a"),)) is None
+    before = PalIndex(tr, w(ab, "ab").symbols).pal_count
+    idx = PalIndex(tr, w(ab, "aba").symbols)
     assert idx.pal_count == before + 1
     assert idx.lps_length == 3
     assert lps_word(idx, w(ab, "aba")).text == "aba"
 
-    idx = PalIndex(swap)
-    idx.extend((ab.index("a"),))
-    before = idx.pal_count
-    idx.extend((ab.index("b"),))
+    before = PalIndex(swap, w(ab, "a").symbols).pal_count
+    idx = PalIndex(swap, w(ab, "ab").symbols)
     assert idx.pal_count == before + 1
     assert idx.lps_length == 2
     assert lps_word(idx, w(ab, "ab")).text == "ab"
 
-    idx = PalIndex(swap)
-    idx.extend((ab.index("a"),))
+    idx = PalIndex(swap, w(ab, "a").symbols)
     assert idx.pal_count == 1  # "a" is not an E-palindrome: only epsilon
     assert idx.lps_length == 0
 
@@ -73,18 +68,17 @@ def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
         for n in range(0, 10):
             for bits in itertools.product((0, 1), repeat=n):
                 word = Word(ab, bits)
-                idx = PalIndex(theta)
+                before = PalIndex(theta, ()).pal_count
                 seen = {Word(ab, ())}
-                for k, s in enumerate(bits, start=1):
-                    before = idx.pal_count
-                    idx.extend((s,))
+                for k in range(1, n + 1):
+                    idx = PalIndex(theta, bits[:k])
                     prefix = word.factor(0, k)
                     oracle = distinct_theta_palindromes_naive(theta, prefix)
                     assert idx.pal_count == len(oracle)
                     assert {Word(ab, ())} | {
                         Word(ab, bits[start:start + length])
                         for start, length in idx.palindrome_spans()} == oracle
-                    # at most one new palindrome per step, and it is the lps
+                    # at most one new palindrome per letter, and it is the lps
                     new = oracle - seen
                     assert len(new) <= 1
                     if new:
@@ -95,7 +89,7 @@ def test_pal_index_matches_oracle_exhaustively(ab, tr, swap):
                     else:
                         assert idx.pal_count == before
                     assert lps_word(idx, prefix) == brute_lps(theta, prefix)
-                    seen = oracle
+                    before, seen = idx.pal_count, oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,27 +98,26 @@ def test_pal_index_matches_oracles_random(data):
     rng = data.draw(st.randoms(use_true_random=False))
     theta = random_involution(rng, data.draw(st.integers(1, 4)))
     word = random_word(rng, theta, data.draw(st.integers(0, 120)))
-    idx = PalIndex(theta)
-    idx.extend(word.symbols)
+    idx = PalIndex(theta, word.symbols)
     oracle = distinct_theta_palindromes_naive(theta, word)
     assert idx.pal_count == len(oracle)
     assert idx.pal_count == count_theta_palindromes_expand(theta, word)
 
 
 def test_pal_index_unioccurrence_against_occurrence_count(ab, tr, swap):
-    # the lps occurs once exactly when the append added a palindrome
+    # the lps occurs once exactly when its last letter added a palindrome
     rng = random.Random(7)
     for theta in (tr, swap):
         for _ in range(40):
             word = random_word(rng, theta, rng.randint(1, 60))
-            idx = PalIndex(theta)
-            for k, s in enumerate(word.symbols, start=1):
-                before = idx.pal_count
-                idx.extend((s,))
+            before = PalIndex(theta, ()).pal_count
+            for k in range(1, len(word) + 1):
+                prefix = word.factor(0, k)
+                idx = PalIndex(theta, prefix.symbols)
                 if idx.lps_length > 0:
-                    prefix = word.factor(0, k)
                     uni = occurrence_count(prefix, lps_word(idx, prefix)) == 1
                     assert (idx.pal_count == before + 1) == uni
+                before = idx.pal_count
 
 
 # --- defect ------------------------------------------------------------------
