@@ -11,6 +11,7 @@ import json
 import random
 import re
 import sys
+from itertools import chain
 
 from . import __version__
 from .core import (
@@ -20,8 +21,6 @@ from .core import (
     InvariantError,
     MAX_LETTERS,
     Word,
-    antimorphism_from_file,
-    word_from_file,
 )
 from .complexity import (
     DEFAULT_SAFE_DIVISOR,
@@ -57,26 +56,66 @@ SCHEMA_VERSION = 1
 EQ4_SAMPLES = 100  # random words on which --method return checks eq4
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+
+
+def word_from_file(path: str, tokens: bool = False) -> Word:
+    """UTF-8 word file: one letter per character, or whitespace tokens; the
+    alphabet is the sorted set of letters found."""
+    text = _read_text(path)
+    return Word.parse(text if tokens else "".join(text.split()), tokens=tokens)
+
+
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(t, str) for t in x)
+
+
+def _theta_config(spec: str) -> tuple[list, list]:
+    """The letters and pairs that ``pairs:a-b,c-c`` (its letters in order of
+    first appearance) or a JSON config file {"letters": [...], "pairs":
+    [["a", "b"], ["c", "c"], ...]} names, only their shape checked."""
+    if spec.startswith("pairs:"):
+        pairs = [part.split("-", 1) for part in spec[len("pairs:"):].split(",")]
+        letters = list(dict.fromkeys(chain.from_iterable(pairs)))
+    else:
+        try:
+            cfg = json.loads(_read_text(spec))
+            letters, pairs = cfg["letters"], cfg["pairs"]
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{spec} is not valid JSON: {exc}")
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"antimorphism config needs 'letters' and 'pairs': {exc}")
+        if not (_is_str_list(letters) and isinstance(pairs, list)
+                and all(_is_str_list(pr) for pr in pairs)):
+            raise InputError("antimorphism config: 'letters' must be a list of "
+                             "strings and 'pairs' a list of lists of strings")
+    for pr in pairs:
+        if len(pr) != 2:
+            raise InputError(f"bad pair {'-'.join(pr)!r}; expected like a-b or c-c")
+    return letters, pairs
+
+
 def _parse_theta(spec: str, alphabet: Alphabet | None) -> Antimorphism:
-    """--theta reversal | pairs:a-b,c-c | <config.json>."""
+    """--theta reversal | pairs:a-b,c-c | <config.json>.  With a word (its
+    ``alphabet``), the named letters must be the word's, in any order; without
+    one, their order sets the alphabet.  ``Antimorphism.from_pairs`` decides
+    whether the pairs pair every letter with exactly one letter."""
     if spec == "reversal":
         if alphabet is None:
             raise InputError("reversal antimorphism needs a word to infer the alphabet")
         return Antimorphism.reversal(alphabet)
-    if spec.startswith("pairs:"):
-        pairs = []
-        letters = []
-        for part in spec[len("pairs:"):].split(","):
-            if "-" not in part:
-                raise InputError(f"bad pair {part!r}; expected like a-b or c-c")
-            x, y = part.split("-", 1)
-            pairs.append((x, y))
-            for t in (x, y):
-                if t not in letters:
-                    letters.append(t)
-        ab = alphabet if alphabet is not None else Alphabet(tuple(letters))
-        return Antimorphism.from_pairs(ab, pairs)
-    return antimorphism_from_file(spec)
+    letters, pairs = _theta_config(spec)
+    named = Alphabet(tuple(letters))
+    theta = Antimorphism.from_pairs(named if alphabet is None else alphabet, pairs)
+    if set(letters) != set(theta.alphabet.letters):
+        raise InputError(f"antimorphism letters {letters} are not the word's "
+                         f"letters {list(theta.alphabet.letters)}")
+    return theta
 
 
 _DIRECTIVE_RE = re.compile(r"^([^()]*)\(([^()]+)\)$")

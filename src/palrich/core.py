@@ -7,7 +7,6 @@ function.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import accumulate, chain
@@ -218,9 +217,8 @@ class Word(Record):
         return w
 
     @classmethod
-    def from_text(cls, alphabet: Alphabet, text: str, tokens: bool = False) -> "Word":
-        parts = text.split() if tokens else text
-        return cls.unchecked(alphabet, tuple(map(alphabet.index, parts)))
+    def from_text(cls, alphabet: Alphabet, text: str) -> "Word":
+        return cls.unchecked(alphabet, tuple(map(alphabet.index, text)))
 
     @classmethod
     def parse(cls, text: str, tokens: bool = False) -> "Word":
@@ -349,62 +347,3 @@ class Morphism(Record):
 
     def describe(self) -> dict:
         return {t: self.images[i].text for i, t in enumerate(self.source.letters)}
-
-
-# --- config file formats -----------------------------------------------------
-
-def _is_str_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(t, str) for t in x)
-
-
-def antimorphism_from_config(cfg: dict) -> Antimorphism:
-    """JSON config: {"letters": [...], "pairs": [["a","b"], ["c","c"], ...]}.
-
-    Every letter must appear in exactly one pair; fixed points are singleton
-    pairs written ["c","c"].
-    """
-    try:
-        letters = cfg["letters"]
-        pairs = cfg["pairs"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"antimorphism config needs 'letters' and 'pairs': {exc}")
-    if not (_is_str_list(letters) and isinstance(pairs, list)
-            and all(_is_str_list(pr) for pr in pairs)):
-        raise InputError("antimorphism config: 'letters' must be a list of "
-                         "strings and 'pairs' a list of lists of strings")
-    alphabet = Alphabet(tuple(letters))
-    counted: dict[str, int] = {}
-    for pr in pairs:
-        if len(pr) != 2:
-            raise InputError(f"pair must have two entries: {pr}")
-        for x in set(pr):
-            counted[x] = counted.get(x, 0) + 1
-    for tok in alphabet.letters:
-        if counted.get(tok, 0) != 1:
-            raise InputError(f"letter {tok!r} must appear in exactly one pair")
-    return Antimorphism.from_pairs(alphabet, [tuple(p) for p in pairs])
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-
-
-def antimorphism_from_file(path: str) -> Antimorphism:
-    try:
-        cfg = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}")
-    return antimorphism_from_config(cfg)
-
-
-def word_from_file(path: str, tokens: bool = False) -> Word:
-    """UTF-8 word file: one letter per character, or whitespace tokens; the
-    alphabet is the sorted set of letters found."""
-    text = _read_text(path)
-    if not tokens:
-        text = "".join(text.split())
-    return Word.parse(text, tokens=tokens)

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palrich.cli import main
-from palrich.core import MAX_LETTERS, Alphabet, Antimorphism, Morphism
+from palrich.cli import _parse_theta, main
+from palrich.core import MAX_LETTERS, Alphabet, Antimorphism, InputError, Morphism
 from conftest import random_word
 
 
@@ -234,22 +235,85 @@ def test_analyze_input_errors_exit_1(capsys, tmp_path, make_input, message):
     assert code == 1 and message in err
 
 
-@pytest.mark.parametrize("theta, message", [
-    ("pairs:a-b", "letters missing from pairing: ['c']"),
-    ({"letters": ["a", "b", "c"], "pairs": [["a", "b"]]},
-     "letter 'c' must appear in exactly one pair"),
-    ({"letters": ["a", "b", "c", "d"],
-      "pairs": [["a", "b"], ["c", "c"], ["d", "d"]]}, "alphabet mismatch"),
-], ids=["pairs-unlisted-letter", "config-unlisted-letter", "config-extra-letter"])
-def test_theta_must_list_exactly_the_word_letters(capsys, tmp_path, theta, message):
-    # unlisted letters are not taken as fixed points
-    if isinstance(theta, dict):
+# id: (pairs, error line with a word, error line without one); with no
+# error line, a word's report is that of pairs:a-b
+THETA_CASES = {
+    "unlisted-letter": ("a-b", "letters missing from pairing: ['c']",
+                        "letter 'c' not in alphabet ('a', 'b')"),
+    "extra-letter": ("a-b,c-c,d-d", "letter 'd' not in alphabet ('a', 'b', 'c')",
+                     None),
+    "paired-twice": ("a-b,a-c", "letter 'a' paired twice",
+                     "letter 'a' paired twice"),
+    "malformed-pair": ("a-b,c", "bad pair 'c'; expected like a-b or c-c",
+                       "bad pair 'c'; expected like a-b or c-c"),
+    "reversed-order": ("b-a", None, None),
+    "consistent-repeat": ("a-b,b-a", None, None),
+}
+
+
+@pytest.mark.parametrize("case", THETA_CASES)
+@pytest.mark.parametrize("spelling", ["pairs", "config"])
+def test_theta_must_list_exactly_the_word_letters(capsys, tmp_path, spelling, case):
+    # unlisted letters are not taken as fixed points; a config naming the
+    # letters and pairs of a pairs: spec gives the same exit and the same
+    # report or error line, with a word (analyze) and without one (theorem3,
+    # whose alphabet the letters set, in their order)
+    spec, with_word, without_word = THETA_CASES[case]
+    pairs = [part.split("-", 1) for part in spec.split(",")]
+    letters = list(dict.fromkeys(chain.from_iterable(pairs)))
+    theta = "pairs:" + spec
+    if spelling == "config":
         path = tmp_path / "theta.json"
-        path.write_text(json.dumps(theta))
+        path.write_text(json.dumps({"letters": letters, "pairs": pairs}))
         theta = str(path)
-    code, err = run_error(capsys, "analyze", "--gen", "tribonacci",
-                          "--len", "200", "--theta", theta)
-    assert code == 1 and message in err
+    gen, directive = ("tribonacci", "(abc)") if with_word else ("fibonacci", "(ab)")
+    got = run(capsys, "analyze", "--gen", gen, "--len", "200", "--theta", theta)
+    if with_word:
+        assert got == (1, "", f"error: {with_word}\n")
+    else:
+        assert got == run(capsys, "analyze", "--gen", "fibonacci", "--len", "200",
+                          "--theta", "pairs:a-b")
+    theorem3 = ("decompose", "--method", "theorem3", "--directive", directive,
+                "--len", "300", "--theta")
+    got = run(capsys, *theorem3, theta)
+    assert got == run(capsys, *theorem3, "pairs:" + spec)
+    if without_word:
+        assert got == (1, "", f"error: {without_word}\n")
+    else:
+        assert got[0] == 0 and json.loads(got[1])["source"]["letters"] == letters
+
+
+def test_antimorphism_config_roundtrip(tmp_path):
+    # the config reader checks the JSON's shape, Antimorphism.from_pairs the
+    # pairing; with a word, the letters are the word's in any order
+    path = tmp_path / "theta.json"
+
+    def read(cfg, alphabet=None):
+        path.write_text(json.dumps(cfg))
+        return _parse_theta(str(path), alphabet)
+    th = read({"letters": ["a", "b", "c"], "pairs": [["a", "b"], ["c", "c"]]})
+    assert th.pairing == (1, 0, 2)
+    ab = Alphabet(("a", "b"))
+    assert read({"letters": ["b", "a"], "pairs": [["b", "a"]]}, ab) == \
+        Antimorphism.from_pairs(ab, [("a", "b")])
+    for bad, alphabet, message in (
+            ({"letters": ["a", "b"], "pairs": [["a", "b"], ["a", "a"]]}, None,
+             "letter 'a' paired twice"),
+            ({"letters": ["a", "b"], "pairs": [["a", "a"]]}, None,
+             "letters missing from pairing: ['b']"),
+            ({"letters": ["a", "b", "c"], "pairs": [["a", "b"]]}, None,
+             "letters missing from pairing: ['c']"),
+            ({"letters": ["a", "b", "a"], "pairs": [["a", "b"]]}, ab,
+             "duplicate letter: 'a'"),
+            ({"letters": ["a"], "pairs": [["a", "b"]]}, ab,
+             "antimorphism letters ['a'] are not the word's letters ['a', 'b']"),
+            ([], None, "needs 'letters' and 'pairs'"),
+            ({"letters": 5, "pairs": []}, None, "must be a list of strings"),
+            ({"letters": ["a"], "pairs": "aa"}, None, "must be a list of strings"),
+            ({"letters": ["a"], "pairs": [[1, 1]]}, None, "must be a list of strings")):
+        with pytest.raises(InputError) as exc:
+            read(bad, alphabet)
+        assert message in str(exc.value)
 
 
 def test_rauzy_n_zero_exit_1(capsys):

@@ -12,7 +12,6 @@ from palrich.core import (
     InputError,
     Morphism,
     Word,
-    antimorphism_from_config,
     gamma,
     occurrences,
     segment_coding,
@@ -97,20 +96,6 @@ def test_factor_set(ab):
     assert {x.text for x in factor_set(w(ab, "aaaa"), 3)} == {"aaa"}
     with pytest.raises(InputError):
         factor_set(w(ab, "ab"), 3)
-
-
-def test_antimorphism_config_roundtrip():
-    cfg = {"letters": ["a", "b", "c"], "pairs": [["a", "b"], ["c", "c"]]}
-    th = antimorphism_from_config(cfg)
-    assert th.pairing == (1, 0, 2)
-    with pytest.raises(InputError):
-        antimorphism_from_config({"letters": ["a", "b"], "pairs": [["a", "b"], ["a", "a"]]})
-    with pytest.raises(InputError):
-        antimorphism_from_config({"letters": ["a", "b"], "pairs": [["a", "a"]]})
-    for bad in ([], {"letters": 5, "pairs": []}, {"letters": ["a"], "pairs": "aa"},
-                {"letters": ["a"], "pairs": [[1, 1]]}):
-        with pytest.raises(InputError):
-            antimorphism_from_config(bad)
 
 
 @given(st.data())

@@ -8,9 +8,8 @@ import random
 
 import pytest
 
-from palrich.cli import main
-from palrich.core import Alphabet, Antimorphism, Word, occurrences, \
-    word_from_file
+from palrich.cli import main, word_from_file
+from palrich.core import Alphabet, Antimorphism, Word, occurrences
 from palrich.generators import ThueMorseSource
 from palrich.returns import crw_palindromicity_scan
 from conftest import random_involution, random_word

@@ -7,8 +7,8 @@ import pytest
 
 import palrich.palindromes
 
-THRESHOLD_SCAN = pathlib.Path(__file__).resolve().parents[1] / "scripts" / \
-    "threshold_scan.py"
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+THRESHOLD_SCAN = SCRIPTS / "threshold_scan.py"
 
 
 def run_threshold_scan(monkeypatch, *args) -> int:
@@ -38,3 +38,13 @@ def test_threshold_scan_rejects_min_len_below_one(capsys, monkeypatch, min_len):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_claims_sweep_slice():
+    # the 48 inputs over 2 letters with seeds of 0-1 letters; CI runs all
+    # 5040 against the counts pinned in the script's docstring
+    counts = runpy.run_path(str(SCRIPTS / "claims_sweep.py"))["counts"]
+    assert counts((2,), range(2)) == {
+        "path": {"2 letters": {"ok": 24, "not ok": 24}},
+        "return": {"2 letters": {"ok": 48}},
+        "theorem3": {"2 letters": {"ok": 48}}}

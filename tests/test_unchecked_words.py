@@ -16,7 +16,6 @@ from palrich.core import (
     Antimorphism,
     InputError,
     Word,
-    word_from_file,
 )
 from palrich.generators import (
     ClosureSource,
@@ -98,14 +97,13 @@ def test_letters_from_outside_are_still_checked(tmp_path):
             Word(alphabet=ab, symbols=symbols)
     with pytest.raises(InputError, match="not in alphabet"):
         Word.from_text(ab, "abc")
-    with pytest.raises(InputError, match="not in alphabet"):
-        Word.from_text(ab, "a b x1", tokens=True)
+    assert Word.parse("b x1 b", tokens=True) == Word(Alphabet(("b", "x1")), (0, 1, 0))
     with pytest.raises(InputError, match="bad letter token"):
         Word.parse("a b")
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("abé".encode("latin-1"))
     with pytest.raises(InputError, match="cannot read"):
-        word_from_file(str(latin1))
+        cli.word_from_file(str(latin1))
 
 
 def test_text_and_files_stop_at_the_ceiling(tmp_path):
@@ -117,7 +115,7 @@ def test_text_and_files_stop_at_the_ceiling(tmp_path):
         path = tmp_path / "long.txt"
         path.write_text(text + "\n")
         with pytest.raises(InputError, match=f"{MAX_LETTERS + 1} letters, more than"):
-            word_from_file(str(path), tokens=tokens)
+            cli.word_from_file(str(path), tokens=tokens)
 
 
 def _count_post_init(monkeypatch) -> Counter:
