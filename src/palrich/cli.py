@@ -121,11 +121,12 @@ def _parse_theta(spec: str, alphabet: Alphabet | None) -> Antimorphism:
 _DIRECTIVE_RE = re.compile(r"^([^()]*)\(([^()]+)\)$")
 
 
-def _parse_directive(spec: str, alphabet: Alphabet) -> DirectiveSequence:
+def _parse_directive(spec: str, alphabet: Alphabet,
+                     tokens: bool) -> DirectiveSequence:
     """Directive syntax: "pre(period)", "(period)" or just "period"."""
     m = _DIRECTIVE_RE.match(spec)
     pre, period = (m.group(1), m.group(2)) if m else ("", spec)
-    return DirectiveSequence.parse(alphabet, pre, period)
+    return DirectiveSequence.parse(alphabet, pre, period, tokens)
 
 
 def _closure_input(args, needs: str) -> tuple[Antimorphism, Word, DirectiveSequence]:
@@ -134,8 +135,9 @@ def _closure_input(args, needs: str) -> tuple[Antimorphism, Word, DirectiveSeque
     theta = _parse_theta(args.theta, None)
     if not args.directive:
         raise InputError(f"{needs} needs --directive")
-    d = _parse_directive(args.directive, theta.alphabet)
-    return theta, Word.from_text(theta.alphabet, args.seed_word or ""), d
+    d = _parse_directive(args.directive, theta.alphabet, args.tokens)
+    seed = Word.from_text(theta.alphabet, args.seed_word or "", args.tokens)
+    return theta, seed, d
 
 
 def _load_input(args) -> tuple[Word, Antimorphism, dict]:
@@ -158,12 +160,15 @@ def _load_input(args) -> tuple[Word, Antimorphism, dict]:
     elif gen == "thue_morse":
         src = ThueMorseSource()
     elif gen.startswith("periodic:"):
-        src = PeriodicSource(Word.parse(gen[len("periodic:"):]))
+        src = PeriodicSource(Word.parse(gen[len("periodic:"):], args.tokens))
     elif gen == "episturmian":
         if not args.directive:
             raise InputError("--gen episturmian needs --directive")
-        ab = Alphabet(tuple(sorted(set(args.directive) - set("()"))))
-        src = episturmian_source(_parse_directive(args.directive, ab))
+        if args.tokens:
+            ab = Word.parse(re.sub("[()]", " ", args.directive), True).alphabet
+        else:
+            ab = Alphabet(tuple(sorted(set(args.directive) - set("()"))))
+        src = episturmian_source(_parse_directive(args.directive, ab, args.tokens))
     elif gen == "theta_standard":
         src = ClosureSource(*_closure_input(args, "--gen theta_standard"))
         return src.prefix(n), src.theta, src.describe()
@@ -331,7 +336,8 @@ def _add_common(sp) -> None:
                                   " | periodic:<word> | episturmian | theta_standard")
     sp.add_argument("--word-file", help="read the word from a file instead")
     sp.add_argument("--tokens", action="store_true",
-                    help="word file is whitespace-tokenized")
+                    help="letters are whitespace-separated tokens in the word "
+                         "file, periodic:<word>, --directive and --seed-word")
     sp.add_argument("--theta", default="reversal",
                     help="reversal | pairs:a-b,c-c | antimorphism config JSON")
     sp.add_argument("--directive", help='closure directive, e.g. "(ab)" or "a(bc)"')

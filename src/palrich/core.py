@@ -217,12 +217,17 @@ class Word(Record):
         return w
 
     @classmethod
-    def from_text(cls, alphabet: Alphabet, text: str) -> "Word":
-        return cls.unchecked(alphabet, tuple(map(alphabet.index, text)))
+    def from_text(cls, alphabet: Alphabet, text: str,
+                  tokens: bool = False) -> "Word":
+        """The word ``text`` spells over ``alphabet``, split as ``parse`` splits."""
+        parts = text.split() if tokens else text
+        return cls.unchecked(alphabet, tuple(map(alphabet.index, parts)))
 
     @classmethod
     def parse(cls, text: str, tokens: bool = False) -> "Word":
-        """Parse with an inferred alphabet (sorted distinct letters)."""
+        """Parse with an inferred alphabet (sorted distinct letters): one
+        letter per character, or with ``tokens`` one per whitespace-separated
+        token."""
         parts = text.split() if tokens else text
         if len(parts) > MAX_LETTERS:
             raise InputError(f"{len(parts)} letters, more than the {MAX_LETTERS} allowed")

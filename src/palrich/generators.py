@@ -38,8 +38,10 @@ class DirectiveSequence(Record):
         return {"pre": self.pre.text, "period": self.period.text}
 
     @classmethod
-    def parse(cls, alphabet: Alphabet, pre: str, period: str) -> "DirectiveSequence":
-        return cls(Word.from_text(alphabet, pre), Word.from_text(alphabet, period))
+    def parse(cls, alphabet: Alphabet, pre: str, period: str,
+              tokens: bool = False) -> "DirectiveSequence":
+        return cls(Word.from_text(alphabet, pre, tokens),
+                   Word.from_text(alphabet, period, tokens))
 
 
 def _check_length(n: int) -> None:

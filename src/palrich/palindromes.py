@@ -21,6 +21,19 @@ from .core import (
 )
 
 
+# Up to this many letters the edges are one flat list of k-entry rows; above
+# it a dict of the edges alone holds less (by tracemalloc the two are even at
+# 9 letters on a rich word, where every node but the roots is a child).
+FLAT_EDGE_LETTERS = 8
+
+
+class _Edges(dict):
+    """Edge table of a large alphabet: a missing edge reads as 0."""
+
+    def __missing__(self, key):
+        return 0
+
+
 class PalIndex:
     """Index of the distinct Theta-palindromic factors of one word.
 
@@ -28,10 +41,13 @@ class PalIndex:
     ``link`` (the longest proper Theta-palindromic suffix), ``first_end``
     (where the node's first occurrence ends) and ``lps_of`` (the non-empty
     prefixes whose lps, longest Theta-palindromic suffix, it is).  Node 0 is
-    the root of length -1, node 1 the empty palindrome; the edge from node v
-    by letter a is ``_next[v * k + a]``, k the alphabet size.  ``lps_length``
-    is the length of the whole word's lps.  The constructor builds the index
-    in one pass over the letters and nothing changes it afterwards.
+    the root of length -1, node 1 the empty palindrome.  The edge from node v
+    by letter a is ``_next[v * k + a]``, k the alphabet size, and 0 means no
+    edge, since nodes 0 and 1 are never children: up to ``FLAT_EDGE_LETTERS``
+    letters ``_next`` is a list of one k-entry row per node, above that a
+    dict holding only the edges.  ``lps_length`` is the length of the whole
+    word's lps.  The constructor builds the index in one pass over the
+    letters and nothing changes it afterwards.
     """
 
     def __init__(self, theta: Antimorphism, symbols: tuple):
@@ -41,9 +57,14 @@ class PalIndex:
             bad = next(a for a in symbols if not 0 <= a < k)
             raise InputError(f"invalid letter index {bad}")
         sym = [-1, *symbols]    # a sentinel, then the letters
-        length, link, first_end, lps_of = [-1, 0], [0, 0], [-1, -1], [0, 0]
-        nxt: dict[int, int] = {}
-        last = 1
+        # a word has at most one node per letter besides the two roots, so
+        # the columns are filled by index and cut to the node count at the end
+        rows = len(symbols) + 2
+        length, link, first_end, lps_of = \
+            [0] * rows, [0] * rows, [0] * rows, [0] * rows
+        length[0] = first_end[0] = first_end[1] = -1
+        nxt = [0] * (rows * k) if k <= FLAT_EDGE_LETTERS else _Edges()
+        count, last = 2, 1
         for p, a in enumerate(symbols):
             # v runs down the suffix palindromes of the prefix to the first
             # one preceded by Theta(a), at sym[p - length[v]]; the root,
@@ -57,21 +78,26 @@ class PalIndex:
                 lps_of[1] += 1
                 continue
             key = v * k + a
-            last = nxt.get(key)
-            if last is not None:
+            last = nxt[key]
+            if last:
                 lps_of[last] += 1
                 continue
-            last = len(length)
-            length.append(length[v] + 2)
+            last = count
+            count += 1
+            length[last] = length[v] + 2
             # the link is the next such suffix extended by a; at the root,
             # the node of a if it is older than the new node, else empty
             v = link[v]
             while v and sym[p - length[v]] != ta:
                 v = link[v]
-            link.append(nxt.get(v * k + a, 1))
+            link[last] = nxt[v * k + a] or 1
             nxt[key] = last
-            first_end.append(p)
-            lps_of.append(1)
+            first_end[last] = p
+            lps_of[last] = 1
+        for col in (length, link, first_end, lps_of):
+            del col[count:]
+        if k <= FLAT_EDGE_LETTERS:
+            del nxt[count * k:]
         self.theta = theta
         self.length, self.link, self.first_end, self.lps_of = \
             length, link, first_end, lps_of

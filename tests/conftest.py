@@ -70,7 +70,7 @@ def lps_word(idx: PalIndex, word: Word) -> Word:
 
 
 def random_involution(rng: random.Random, size: int) -> Antimorphism:
-    alphabet = Alphabet(tuple("abcdefgh"[:size]))
+    alphabet = Alphabet(tuple("abcdefghi"[:size]))
     idx = list(range(size))
     rng.shuffle(idx)
     pairing = [-1] * size

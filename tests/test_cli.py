@@ -144,6 +144,35 @@ def test_generate(capsys, tmp_path):
     assert out_file.read_text() == "abbaababbaabba\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gen", "theta_standard", "--theta", "pairs:{a}-{b}",
+     "--directive", "({a}{_}{b})"],
+    ["--gen", "theta_standard", "--theta", "pairs:{a}-{b}",
+     "--seed-word", "{a}{_}{a}", "--directive", "{b}{_}({a}{_}{b})"],
+    ["--gen", "episturmian", "--directive", "{a}{_}({a}{_}{b})"],
+    ["--gen", "periodic:{a}{_}{b}{_}{b}"],
+])
+def test_tokens_split_every_word_argument(capsys, argv):
+    # the word over the letters x1 and y2 is the word over a and b, mapped
+    def generate(*options, **spelling):
+        code, out, _ = run(capsys, "generate", "--len", "20", *options,
+                           *(arg.format(**spelling) for arg in argv))
+        assert code == 0
+        return out.split() if options else list(out.strip())
+    plain = generate(a="a", b="b", _="")
+    tokens = generate("--tokens", a="x1", b="y2", _=" ")
+    assert tokens == [{"a": "x1", "b": "y2"}[c] for c in plain]
+
+
+def test_multi_character_letters_need_tokens(capsys):
+    # without --tokens a directive letter is one character
+    code, _, err = run(capsys, "generate", "--gen", "theta_standard",
+                       "--theta", "pairs:x1-y2", "--directive", "(x1 y2)",
+                       "--len", "20")
+    assert code == 1
+    assert err == "error: letter 'x' not in alphabet ('x1', 'y2')\n"
+
+
 def test_bad_inputs_exit_1(capsys):
     code, _, err = run(capsys, "analyze", "--gen", "nope", "--len", "100")
     assert code == 1 and "error:" in err
