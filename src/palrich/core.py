@@ -7,9 +7,11 @@ function.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 
 
 MAX_LETTERS = 1 << 20   # longest word read or generated; analyze at 10**6 takes 650 MB
@@ -87,13 +89,15 @@ class Record:
 
 
 class Alphabet(Record):
-    """Ordered finite alphabet; letters are non-empty whitespace-free tokens."""
+    """Ordered finite alphabet: at most MAX_LETTERS non-empty whitespace-free tokens."""
 
     letters: tuple[str, ...]
 
     def __post_init__(self):
         if not self.letters:
             raise InputError("alphabet needs at least one letter")
+        if len(self.letters) > MAX_LETTERS:   # each letter is one code point
+            raise InputError(f"{len(self.letters)} letters, more than the {MAX_LETTERS} allowed")
         seen = set()
         for tok in self.letters:
             if not tok or any(c.isspace() for c in tok):
@@ -116,26 +120,18 @@ class Alphabet(Record):
         return len(self.letters)
 
     @cached_property
-    def width(self) -> int:
-        """Bytes per letter of every encoded word: 1 up to 256 letters."""
-        return max(1, ((len(self.letters) - 1).bit_length() + 7) // 8)
-
-    @cached_property
-    def _joiner(self) -> str:
-        return "" if all(len(t) == 1 for t in self.letters) else " "
+    def _spelling(self) -> tuple[str, ...]:
+        sep = "" if all(len(t) == 1 for t in self.letters) else " "
+        return tuple([t + sep for t in self.letters])
 
     def spell(self, symbols) -> str:
-        """The text of a symbol sequence: tokens joined with "" when every
-        token is one character, else with " "."""
-        return self._joiner.join([self.letters[s] for s in symbols])
+        """The tokens of ``symbols``, joined with "" if all are one character, else " "."""
+        return self.spell_text(encode(symbols))
 
-    def spell_spans(self, symbols, spans) -> list[str]:
-        """``spell(symbols[a:a + m])`` for each (a, m) span, cut from one
-        spelling of ``symbols`` at a table of letter offsets."""
-        j, letters = len(self._joiner), self.letters
-        at = list(accumulate([len(letters[s]) + j for s in symbols], initial=0))
-        text = self.spell(symbols)
-        return [text[at[a]:at[a + m] - j] if m else "" for a, m in spans]
+    def spell_text(self, text: str) -> str:
+        """``spell`` of the letters ``encode`` wrote as ``text``: a token and
+        separator per letter, the last separator stripped (no token holds one)."""
+        return text.translate(self._spelling).rstrip(" ")
 
 
 class Antimorphism(Record):
@@ -245,9 +241,9 @@ class Word(Record):
         return Word.unchecked(self.alphabet, self.symbols[start:end])
 
     @cached_property
-    def encoded(self) -> bytes:
-        """The letters as ``alphabet.width`` big-endian bytes each."""
-        return encode(self.symbols, self.alphabet.width)
+    def encoded(self) -> str:
+        """The letters as one code point each (``encode``)."""
+        return encode(self.symbols)
 
     def __repr__(self) -> str:
         return f"Word({self.text!r})"
@@ -270,32 +266,22 @@ def gamma(theta: Antimorphism, w: Word) -> int:
     return len(pairs)
 
 
-def encode(symbols, width: int) -> bytes:
-    """Letter indices as ``width`` big-endian bytes each, which keeps the
-    order of equal-length tuples; for width 1, ``bytes`` builds them at once."""
-    if width == 1:
-        return bytes(symbols)
-    return b"".join([a.to_bytes(width, "big") for a in symbols])
+def encode(symbols) -> str:
+    """Letter indices as the code points of one ``str``, so ``str.find`` hits
+    whole letters only and equal-length words sort as their tuples do.  The
+    byte order is named, so a leading 65279 is no byte-order mark, and
+    55296-57343 pass as lone surrogates."""
+    return array("I", symbols).tobytes().decode(f"utf-32-{sys.byteorder[0]}e",
+                                                "surrogatepass")
 
 
-def find(text: bytes, needle: bytes, width: int, start: int = 0,
-         end: int | None = None) -> int:
-    """First offset of ``needle`` in ``text[start:end]`` at a multiple of
-    ``width`` (as ``start`` is), or -1: other hits straddle two letters."""
-    i = text.find(needle, start, end)
-    while i % width and i > 0:
-        i = text.find(needle, i + width - i % width, end)
-    return i
-
-
-def find_all(text: bytes, needle: bytes, width: int) -> list[int]:
-    """Every offset ``find`` hits, overlapping ones included, ascending."""
+def find_all(text: str, needle: str, start: int = 0) -> list[int]:
+    """Every offset of ``needle`` in ``text`` from ``start``, overlaps included."""
     out: list[int] = []
-    i = text.find(needle)
+    i = text.find(needle, start)
     while i != -1:
-        if i % width == 0:  # else it straddles two letters
-            out.append(i)
-        i = text.find(needle, i + width - i % width)   # from the next letter
+        out.append(i)
+        i = text.find(needle, i + 1)
     return out
 
 
@@ -304,8 +290,7 @@ def occurrences(w: Word, f: Word) -> list[int]:
     if len(f) == 0:
         raise InputError("occurrences of the empty word are not defined here")
     _check_same(f, w)
-    width = w.alphabet.width
-    return [i // width for i in find_all(w.encoded, f.encoded, width)]
+    return find_all(w.encoded, f.encoded)
 
 
 def segment_coding(symbols, starts, tail: int) -> tuple[list[tuple], list[int]]:

@@ -24,7 +24,6 @@ from .core import (
     Word,
     _check_same,
     encode,
-    find,
     occurrences,
     segment_coding,
 )
@@ -230,31 +229,29 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
     y's next mark is a y and no Theta(y), or none, x has none from i either.
     Only the other factors, special ones (Cassaigne 1997) among them, are cut.
     """
-    sym, seq, width = v_prefix.symbols, v_prefix.encoded, v_prefix.alphabet.width
-    mirror = encode(theta2.image(sym), width)   # Theta(seq[i:j]) is mirror[n - j:n - i]
-    top = min(max_factor_len, len(sym))
-    n, span = len(seq), top * width
-    sa = sorted(range(0, n, width), key=lambda i: seq[i:i + 2 * span])
+    sym, seq = v_prefix.symbols, v_prefix.encoded
+    mirror = encode(theta2.image(sym))   # Theta(seq[i:j]) is mirror[n - j:n - i]
+    n, top = len(seq), min(max_factor_len, len(seq))
+    sa = sorted(range(n), key=lambda i: seq[i:i + 2 * top])
     # cut_at[h]: the indices j whose suffix shares h < top letters with j - 1's
     cut_at: list[list[int]] = [[] for _ in range(top)]
-    for j in range(1, len(sa)):
-        a, b = seq[sa[j - 1]:sa[j - 1] + span], seq[sa[j]:sa[j] + span]
+    for j in range(1, n):
+        a, b = seq[sa[j - 1]:sa[j - 1] + top], seq[sa[j]:sa[j] + top]
         if a != b:  # a sorts first: no mismatch makes it a prefix of b
             h = next((k for k, (c, d) in enumerate(zip(a, b)) if c != d), len(a))
-            cut_at[h // width].append(j)
+            cut_at[h].append(j)
     # runs: w -> (s, e) in sa; found: w -> {segment: (first occurrence of w, of it)}
-    cuts, witnesses, runs, found = [0, len(sa)], [], {}, {}
+    cuts, witnesses, runs, found = [0, n], [], {}, {}
     for length in range(1, top + 1):
         cuts = sorted(cuts + cut_at[length - 1])  # the factors lie between
-        size = length * width
         prev_runs, prev_found = runs, found
-        runs = {seq[sa[s]:sa[s] + size]: (s, e)
-                for s, e in zip(cuts, cuts[1:]) if n - sa[s] >= size}
-        head, tail, found = seq[:size - width], seq[n - size + width:], {}
+        runs = {seq[sa[s]:sa[s] + length]: (s, e)
+                for s, e in zip(cuts, cuts[1:]) if n - sa[s] >= length}
+        head, tail, found = seq[:length - 1], seq[n - length + 1:], {}
         for x, (s, e) in runs.items():
-            tx = mirror[n - sa[s] - size:n - sa[s]]
+            tx = mirror[n - sa[s] - length:n - sa[s]]
             if length > 1 and tx != x:
-                y, ty = x[:-width], tx[width:]
+                y, ty = x[:-1], tx[1:]
                 (ys, ye), (ts, te) = prev_runs[y], runs.get(tx, (0, 0))
                 us, ue = prev_runs.get(ty, (0, 0))
                 if e - s == ye - ys - (y == tail) and te - ts == ue - us - (ty == head):
@@ -264,18 +261,18 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
             j = s if tx in runs else e  # Theta(x) must occur
             while j < e:
                 i1 = sa[j]
-                q = find(seq, x, width, i1 + width, n)
-                t = q if tx == x else find(seq, tx, width, i1 + width,
-                                           n if q < 0 else q + size - width)
+                q = seq.find(x, i1 + 1)
+                t = q if tx == x else seq.find(tx, i1 + 1,
+                                               n if q < 0 else q + length - 1)
                 mark = t if t >= 0 else q
-                u = seq[i1:mark + size]
-                k = j + 1 if mark < 0 or len(u) > 2 * span else bisect_right(
+                u = seq[i1:mark + length]
+                k = j + 1 if mark < 0 or len(u) > 2 * top else bisect_right(
                     sa, u, j + 1, e, key=lambda i, m=len(u): seq[i:i + m])
                 if t >= 0 and u not in segments and mirror[n - i1 - len(u):n - i1] != u:
                     segments[u] = (min(sa[s:e]), min(sa[j:k]))
                 j = k
         keyed = sorted((key, u) for segments in found.values() for u, key in segments.items())
-        witnesses.extend(Word.unchecked(v_prefix.alphabet, sym[i // width:(i + len(u)) // width])
+        witnesses.extend(Word.unchecked(v_prefix.alphabet, sym[i:i + len(u)])
                          for (_, i), u in keyed)   # no two segments share a key
         if len(witnesses) >= REPORTED_WITNESSES:
             break

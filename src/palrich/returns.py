@@ -87,13 +87,13 @@ class CrwReport(Record):
     empirical_threshold: int   # smallest length with no violations at or above it
 
     def describe(self) -> dict:
-        texts = iter(self.prefix.alphabet.spell_spans(
-            self.prefix.symbols, [s for pair in self.violations for s in pair]))
+        seq, spell = self.prefix.encoded, self.prefix.alphabet.spell_text
         return {
             "min_len": 1,
             "checked_factors": self.checked_factors,
-            "violations": [{"factor": f, "complete_return": cr}
-                           for f, cr in zip(texts, texts)],
+            "violations": [{"factor": spell(seq[a:a + m]),
+                            "complete_return": spell(seq[b:b + n])}
+                           for (a, m), (b, n) in self.violations],
             "empirical_threshold": self.empirical_threshold,
         }
 
@@ -108,29 +108,29 @@ def crw_palindromicity_scan(theta: Antimorphism, prefix: Word) -> CrwReport:
     characterization).
     """
     _check_same(theta, prefix)
-    sym, seq, width = prefix.symbols, prefix.encoded, prefix.alphabet.width
-    # bytes slices take an eighth of the memory of tuples; the palindromes of
-    # 4000 Fibonacci letters hold six million letters.  Big-endian letters
-    # sort by (length, bytes) in letter order.
-    pals = [seq[start * width:(start + length) * width]
-            for start, length in pal_index(theta, sym).palindrome_spans()]
+    seq = prefix.encoded
+    # str slices take an eighth of the memory of tuples; the palindromes of
+    # 4000 Fibonacci letters hold six million letters.  Each sorts by (length,
+    # letters), with its first start, where its search begins.
+    pals = sorted([(seq[start:start + length], start) for start, length
+                   in pal_index(theta, prefix.symbols).palindrome_spans()],
+                  key=lambda ps: (len(ps[0]), ps[0]))
     # every complete return is a factor of the prefix, so it is a
     # Theta-palindrome exactly when it is one of the prefix's palindromes
-    pal_set = set(pals)
+    pal_set = {p for p, _ in pals}
     violations: list[tuple] = []
     checked = worst = 0
-    for p in sorted(pals, key=lambda x: (len(x), x)):
-        occ = find_all(seq, p, width)     # byte offsets
+    for p, start in pals:
+        occ = find_all(seq, p, start)
         if len(occ) < 2:
             continue
         checked += 1
         returns, coding = segment_coding(seq, occ, len(p))
         bad = [k for k, cr in enumerate(returns) if cr not in pal_set]
-        if bad:     # spans in letters, where each first occurs
-            worst = len(p) // width
-            factor = (occ[0] // width, worst)
-            first = {k: a // width for a, k in reversed([*zip(occ, coding)])}
-            violations.extend((factor, (first[k], len(returns[k]) // width))
+        if bad:     # spans of the prefix, where each first occurs
+            worst = len(p)
+            first = {k: a for a, k in reversed([*zip(occ, coding)])}
+            violations.extend(((start, worst), (first[k], len(returns[k])))
                               for k in bad)
     return CrwReport(prefix, checked_factors=checked, violations=tuple(violations),
                      empirical_threshold=worst + 1)

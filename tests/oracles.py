@@ -21,8 +21,10 @@ palindromic tree keeps one object per node, where the library keeps columns;
 the per-letter loops build it.  The complete-return scan reports each
 violation as two ``Word``s spelled one by one, where the library keeps spans
 of the prefix and spells them from one text.  Occurrences are found by
-comparing a tuple slice at every position, where the library searches encoded bytes, and the
-condition (i) sweeps choose bytes or tuples from the letters they meet.
+comparing a tuple slice at every position, where the library searches one
+code point per letter; the condition (i) sweeps choose bytes or tuples from
+the letters they meet, and the sorted suffix table scan searches fixed-width
+big-endian bytes, hitting only offsets at a multiple of the width.
 A Theta-palindrome is tested letter by letter against the mirrored letter,
 where the library compares a word with its Theta-image, and the tree test of
 Proposition 1 builds an adjacency list and walks it depth first, where the
@@ -42,9 +44,7 @@ from palrich.core import (
     Morphism,
     Word,
     _check_same,
-    encode,
     factor_tuples,
-    find,
     occurrences,
     segment_coding,
 )
@@ -647,6 +647,29 @@ def window_condition_i(theta2: Antimorphism, v: Word,
     return witnesses
 
 
+def _byte_width(alphabet: Alphabet) -> int:
+    """Bytes per letter of ``_encode_bytes``: 1 up to 256 letters."""
+    return max(1, ((len(alphabet) - 1).bit_length() + 7) // 8)
+
+
+def _encode_bytes(symbols, width: int) -> bytes:
+    """Letter indices as ``width`` big-endian bytes each, which keeps the
+    order of equal-length tuples; for width 1, ``bytes`` builds them at once."""
+    if width == 1:
+        return bytes(symbols)
+    return b"".join([a.to_bytes(width, "big") for a in symbols])
+
+
+def _aligned_find(text: bytes, needle: bytes, width: int, start: int,
+                  end: int) -> int:
+    """First offset of ``needle`` in ``text[start:end]`` at a multiple of
+    ``width`` (as ``start`` is), or -1: other hits straddle two letters."""
+    i = text.find(needle, start, end)
+    while i % width and i > 0:
+        i = text.find(needle, i + width - i % width, end)
+    return i
+
+
 def sorted_suffix_condition_i(theta2: Antimorphism, v_prefix: Word,
                               max_factor_len: int) -> list[Word]:
     """``decompose._mirror_bounded_witnesses`` cutting the minimal segments
@@ -661,8 +684,9 @@ def sorted_suffix_condition_i(theta2: Antimorphism, v_prefix: Word,
     first 2 * max_factor_len letters holds those starting with a shorter u in
     one block, cut once; a longer u is cut at each of its occurrences.
     """
-    sym, seq, width = v_prefix.symbols, v_prefix.encoded, v_prefix.alphabet.width
-    mirror = encode(theta2.image(sym), width)   # Theta(seq[i:j]) is mirror[n - j:n - i]
+    sym, width = v_prefix.symbols, _byte_width(v_prefix.alphabet)
+    seq = _encode_bytes(sym, width)
+    mirror = _encode_bytes(theta2.image(sym), width)   # Theta(seq[i:j]) is mirror[n - j:n - i]
     top = min(max_factor_len, len(sym))
     n, span = len(seq), top * width
     sa = sorted(range(0, n, width), key=lambda i: seq[i:i + 2 * span])
@@ -685,9 +709,9 @@ def sorted_suffix_condition_i(theta2: Antimorphism, v_prefix: Word,
             j = s if tx in runs else e  # Theta(x) must occur
             while j < e:
                 i1 = sa[j]
-                q = find(seq, x, width, i1 + width, n)
-                t = q if tx == x else find(seq, tx, width, i1 + width,
-                                           n if q < 0 else q + size - width)
+                q = _aligned_find(seq, x, width, i1 + width, n)
+                t = q if tx == x else _aligned_find(seq, tx, width, i1 + width,
+                                                    n if q < 0 else q + size - width)
                 mark = t if t >= 0 else q
                 u = seq[i1:mark + size]
                 k = j + 1 if mark < 0 or len(u) > 2 * span else bisect_right(

@@ -312,6 +312,18 @@ def test_theta_must_list_exactly_the_word_letters(capsys, tmp_path, spelling, ca
         assert got[0] == 0 and json.loads(got[1])["source"]["letters"] == letters
 
 
+def test_theta_config_over_max_letters_exits_1(capsys, tmp_path):
+    # without a word the config's letters set the alphabet, which holds at
+    # most MAX_LETTERS letters, one code point each
+    letters = [str(i) for i in range(MAX_LETTERS + 1)]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"letters": letters, "pairs": [letters[:2]]}))
+    del letters
+    code, err = run_error(capsys, "decompose", "--method", "theorem3",
+                          "--directive", "(01)", "--len", "300", "--theta", str(path))
+    assert code == 1 and f"more than the {MAX_LETTERS} allowed" in err
+
+
 def test_antimorphism_config_roundtrip(tmp_path):
     # the config reader checks the JSON's shape, Antimorphism.from_pairs the
     # pairing; with a word, the letters are the word's in any order

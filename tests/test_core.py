@@ -146,8 +146,8 @@ def test_occurrences_exhaustive_small(ab):
 
 
 def test_occurrences_needle_beyond_byte_range():
-    # over 300 letters every letter takes two bytes, also in a haystack
-    # whose letters are all below 256
+    # a needle letter above 255 in a haystack whose letters are all below
+    # 256, over a 300-letter alphabet
     big = Alphabet(tuple(f"x{i}" for i in range(300)))
     hay = Word(big, (1, 2, 3, 1, 2))
     assert occurrences(hay, Word(big, (299,))) == []

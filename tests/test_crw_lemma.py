@@ -69,7 +69,7 @@ def test_lemma_on_random_words(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_lemma_on_tuple_path(data):
-    # over more than 256 letters the scan slices tuples, not bytes
+    # over more than 256 letters the scanned text holds code points above 255
     ab = Alphabet(tuple(f"x{i}" for i in range(300)))
     pairing = list(range(300))
     if data.draw(st.booleans()):

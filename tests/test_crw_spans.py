@@ -1,15 +1,15 @@
 """The complete-return scan keeps each violation as two (start, length) spans
-of the scanned prefix, and its report spells them from one text of the
-prefix: the spans against ``Alphabet.spell`` of each factor, the number of
-``Word``s the scan builds, and a token-spelled report against the
-``Word``-based oracle."""
+of the scanned prefix, and its report spells each span from the prefix's
+encoded text: a spelled slice of that text against ``Alphabet.spell`` of the
+span's letters, the spans as first occurrences, the number of ``Word``s the
+scan builds, and a token-spelled report against the ``Word``-based oracle."""
 import json
 import random
 
 import pytest
 
 from palrich.cli import main, word_from_file
-from palrich.core import Alphabet, Antimorphism, Word, occurrences
+from palrich.core import Alphabet, Antimorphism, Word, encode, occurrences
 from palrich.generators import ThueMorseSource
 from palrich.returns import crw_palindromicity_scan
 from conftest import random_involution, random_word
@@ -21,14 +21,15 @@ from oracles import crw_words, letter_check_crw_scan
     ("x1", "y22", "z"),
     tuple(f"t{i}" for i in range(300)),
 ], ids=["chars", "tokens", "300"])
-def test_spell_spans_match_spell(letters):
+def test_spelled_text_slices_match_spell(letters):
     ab = Alphabet(letters)
     rng = random.Random(len(letters))
     for n in (0, 1, 2, 7, 60):
         symbols = tuple(rng.randrange(len(ab)) for _ in range(n))
-        spans = [(a, m) for a in range(n + 1) for m in range(n - a + 1)]
-        assert ab.spell_spans(symbols, spans) == \
-            [ab.spell(symbols[a:a + m]) for a, m in spans]
+        text = encode(symbols)
+        for a in range(n + 1):
+            for m in range(n - a + 1):   # the empty span included
+                assert ab.spell_text(text[a:a + m]) == ab.spell(symbols[a:a + m])
 
 
 def test_spans_are_first_occurrences():

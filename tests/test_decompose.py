@@ -114,7 +114,7 @@ def test_condition_i_matches_factor_loop(data):
         theta = random_involution(rng, data.draw(st.integers(1, 4)))
         word = random_word(rng, theta, data.draw(st.integers(1, 40)))
     else:
-        # over more than 256 letters the scan reads two bytes per letter
+        # over more than 256 letters the scan reads code points above 255
         ab = Alphabet(tuple(f"x{i}" for i in range(300)))
         pairing = list(range(300))
         if data.draw(st.booleans()):

@@ -1,32 +1,37 @@
-"""Every alphabet searched as fixed-width big-endian bytes: the aligned core
-``find`` and its readers against the tuple-slice oracles, over 2, 255, 256,
-257 and 300 letters.  From 257 letters on, each letter takes two bytes, and
-a hit that straddles two letters must not count: letters 1 and 256 encode
-as ``\\x00\\x01\\x01\\x00``, which holds letter 257's ``\\x01\\x01``."""
+"""Every alphabet searched as one code point per letter: ``occurrences``,
+the complete-return scan and condition (i) against the tuple-slice oracles,
+over 2, 255, 256, 257, 300, 57345 and 65537 letters.  The drawn letters sit
+where CPython's string storage widens (255-257, 65535-65536), on the
+surrogates 55296-57343 that ``encode`` passes through, and on the
+byte-order mark 65279."""
 import json
 import random
 
 import pytest
 
 from palrich.cli import main
-from palrich.core import Alphabet, Antimorphism, Word, encode, find, occurrences
+from palrich.core import Alphabet, Antimorphism, Word, encode, occurrences
 from palrich.decompose import _mirror_bounded_witnesses
 from palrich.generators import ClosureSource, DirectiveSequence, fibonacci_source
 from palrich.returns import crw_palindromicity_scan
 from oracles import crw_outcome, crw_words, letter_check_crw_scan, \
     radius_table_condition_i, slice_occurrences
 
-SIZES = (2, 255, 256, 257, 300)
+SIZES = (2, 255, 256, 257, 300, 57345, 65537)
 
 
 def alphabet(k: int) -> Alphabet:
     # zero-padded, so the sorted tokens of a word file keep index order
-    return Alphabet(tuple(f"x{i:03d}" for i in range(k)))
+    return Alphabet(tuple(f"x{i:05d}" for i in range(k)))
+
+
+BOUNDARIES = (0, 1, 2, 255, 256, 257, 55295, 55296, 57343, 57344, 65279,
+              65535, 65536)
 
 
 def pool(k: int) -> list[int]:
-    # the letters around the byte boundary that each alphabet has
-    return sorted({0, 1, 2, 255, 256, 257, k - 1} & set(range(k)))
+    # the letters around the code point boundaries that each alphabet has
+    return sorted({a for a in BOUNDARIES if a < k} | {k - 1})
 
 
 def random_theta(rng: random.Random, ab: Alphabet, letters: list[int]) -> Antimorphism:
@@ -58,29 +63,19 @@ def random_words(rng: random.Random, ab: Alphabet, count: int, top: int):
 
 
 @pytest.mark.parametrize("k", SIZES)
-def test_width_and_encoding(k):
+def test_encode_writes_one_code_point_per_letter(k):
+    word = Word(alphabet(k), tuple(pool(k)) * 2)
+    assert [ord(c) for c in word.encoded] == list(word.symbols)
+    if k > 65279:   # no byte-order mark is read off the front
+        assert encode((65279, 0, 65279)) == "\ufeff\x00\ufeff"
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_encode_sorts_like_tuples(k):
     ab = alphabet(k)
-    assert ab.width == (1 if k <= 256 else 2)
-    word = Word(ab, tuple(pool(k)) * 2)
-    if k <= 256:
-        assert word.encoded == bytes(word.symbols)
-    assert len(word.encoded) == ab.width * len(word)
-    # big-endian: equal-length words sort alike as bytes and as tuples
     words = [Word(ab, (a, b)) for a in pool(k) for b in pool(k)]
     assert sorted(words, key=lambda u: u.encoded) == \
         sorted(words, key=lambda u: u.symbols)
-
-
-def test_unaligned_hits_do_not_count():
-    ab = alphabet(300)
-    hay = Word(ab, (1, 256))
-    assert hay.encoded == b"\x00\x01\x01\x00"
-    assert hay.encoded.find(encode((257,), 2)) == 1
-    assert occurrences(hay, Word(ab, (257,))) == []
-    assert find(hay.encoded, encode((257,), 2), 2) == -1
-    # a needle of two letters straddling three: 0 256 0 holds (1, 0) at byte 1
-    assert occurrences(Word(ab, (0, 256, 0, 1, 0)), Word(ab, (1, 0))) == [3]
-    assert find(b"\x00\x00\x01\x00\x00\x00", b"\x01\x00", 2, 0, 4) == 2
 
 
 @pytest.mark.parametrize("k", SIZES)

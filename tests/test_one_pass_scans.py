@@ -128,8 +128,8 @@ def test_random_words_match_oracles(data):
 
 
 def test_tuple_path_matches_oracles():
-    # over more than 256 letters the table holds two bytes a letter and the
-    # oracles slice tuples
+    # over more than 256 letters the table sorts code points above 255 and
+    # the oracles slice tuples
     rng = random.Random(12)
     ab = Alphabet(tuple(f"x{i}" for i in range(300)))
     for trial in range(60):
