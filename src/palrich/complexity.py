@@ -16,12 +16,10 @@ from itertools import accumulate
 from .core import (
     Antimorphism,
     InputError,
-    InvariantError,
     PreconditionError,
     Record,
     Word,
     _check_same,
-    factor_tuples,
 )
 from .palindromes import pal_index
 
@@ -98,16 +96,17 @@ class _SuffixAutomaton:
                     right[n][len(nxt[v])] += 1
         return left, right
 
-    def shortest_absent(self, symbols) -> int | None:
-        """Length of the shortest factor of ``symbols`` that is not a factor
-        of the indexed word, or None if there is none.
+    def shortest_absent(self, symbols) -> tuple[int | None, int]:
+        """(m, r): m is the length of the shortest factor of ``symbols`` that
+        is not a factor of the indexed word, and ``symbols[r - m:r]`` its
+        last occurrence; (None, 0) if there is none.
 
         Matching statistics: after each letter, ``matched`` is the longest
         suffix read so far that is a factor; the suffix one letter longer is
         absent, and every shortest absent factor is one of those.
         """
         length, link, nxt = self.length, self.link, self.next
-        best: int | None = None
+        best, at = None, 0
         v = matched = 0
         for read, a in enumerate(symbols, start=1):
             while v and a not in nxt[v]:
@@ -118,14 +117,15 @@ class _SuffixAutomaton:
                 matched += 1
             else:
                 matched = 0
-            if matched < read and (best is None or matched + 1 < best):
-                best = matched + 1
-        return best
+            if matched < read and (best is None or matched + 1 <= best):
+                best, at = matched + 1, read
+        return best, at
 
 
 class _FactorCounts(Record):
     c: tuple[int, ...]              # C(0..|w|)
-    shortest_absent: int | None  # shortest factor with absent Theta-image
+    shortest_absent: int | None  # least length of a factor with absent image
+    witness_start: int           # start of the leftmost such factor
 
 
 @lru_cache(maxsize=1)
@@ -137,11 +137,12 @@ def _factor_counts(theta: Antimorphism, symbols: tuple) -> _FactorCounts:
     alive through the rest of the analysis and raise its peak memory.
     """
     sam = _SuffixAutomaton(symbols)
-    # f is a factor iff Theta(f) is a factor of Theta(w), so the shortest
-    # factor whose image is absent is as long as the shortest factor of
-    # Theta(w) absent from w
-    return _FactorCounts(tuple(sam.complexity()),
-                         sam.shortest_absent(theta.image(symbols)))
+    # Theta(w)[r - m:r] is Theta(w[|w| - r:|w| - r + m]), so it is absent from
+    # w exactly when that factor of w has an absent image: the last shortest
+    # absent factor of Theta(w) is the image of the leftmost such factor
+    shortest, read = sam.shortest_absent(theta.image(symbols))
+    return _FactorCounts(tuple(sam.complexity()), shortest,
+                         len(symbols) - read)
 
 
 def default_safe_length(prefix_length: int, divisor: int = DEFAULT_SAFE_DIVISOR) -> int:
@@ -229,17 +230,13 @@ def closed_under_theta(theta: Antimorphism, prefix: Word,
                        n: int) -> tuple[bool, Word | None]:
     """Is the factor set of the prefix closed under Theta up to length n?
 
-    Returns (True, None) or (False, witness) with a factor whose image is
-    absent.
+    Returns (True, None) or (False, witness).  The witness is the leftmost
+    of the shortest factors whose Theta-image is absent.
     """
     _check_same(theta, prefix)
-    sym = prefix.symbols
-    shortest = _factor_counts(theta, sym).shortest_absent
-    if shortest is None or shortest > n:
+    counts = _factor_counts(theta, prefix.symbols)
+    length = counts.shortest_absent
+    if length is None or length > n:
         return True, None
-    # the first failing factor at that length, in the set's iteration order
-    facs = factor_tuples(sym, shortest)
-    for f in facs:
-        if theta.image(f) not in facs:
-            return False, Word.unchecked(prefix.alphabet, f)
-    raise InvariantError(f"no factor of length {shortest} has an absent Theta-image")
+    start = counts.witness_start
+    return False, prefix.factor(start, start + length)

@@ -313,10 +313,6 @@ def segment_coding(symbols, starts, tail: int) -> tuple[list[tuple], list[int]]:
     return segments, coding
 
 
-def factor_tuples(symbols, n: int) -> set[tuple]:
-    return {symbols[i:i + n] for i in range(len(symbols) - n + 1)}
-
-
 class Morphism(Record):
     """Letter-to-word substitution phi: source* -> target*."""
 

@@ -200,7 +200,7 @@ def arnoux_rauzy_check(prefix: Word, max_len: int, valence: int) -> ArnouxRauzyR
     """
     sam = _SuffixAutomaton(prefix.symbols)
     # the reversals of the factors are the factors of the reversed prefix
-    unclosed = sam.shortest_absent(prefix.symbols[::-1])
+    unclosed, _ = sam.shortest_absent(prefix.symbols[::-1])
     left, right = sam.special_valences(max_len)
     for n in range(1, max_len + 1):
         ls, rs = left[n], right[n]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from palrich.core import Alphabet, Antimorphism, InputError, Word, factor_tuples
+from palrich.core import Alphabet, Antimorphism, InputError, Word
 from palrich.generators import (
     ClosureSource,
     DirectiveSequence,
@@ -45,6 +45,11 @@ def brute_lps(theta: Antimorphism, word: Word) -> Word:
         if brute_is_theta_pal(theta, suf):
             return suf
     raise AssertionError("epsilon is always a palindrome")
+
+
+def factor_tuples(symbols, n: int) -> set[tuple]:
+    """The distinct length-n factors of ``symbols``."""
+    return {symbols[i:i + n] for i in range(len(symbols) - n + 1)}
 
 
 def factor_set(w: Word, n: int) -> set:

@@ -44,7 +44,6 @@ from palrich.core import (
     Morphism,
     Word,
     _check_same,
-    factor_tuples,
     occurrences,
     segment_coding,
 )
@@ -68,6 +67,7 @@ from palrich.rauzy import (
     special_extensions,
 )
 from palrich.returns import CrwReport, mirror_bounded_palindromicity
+from conftest import factor_tuples
 
 MAX_CANDIDATES = 16     # palindromic prefixes tried by letter_check_theorem2
 
@@ -800,12 +800,15 @@ def factor_set_complexity(prefix: Word, max_length: int) -> list[int]:
 
 def factor_set_closed_under_theta(theta: Antimorphism, prefix: Word,
                                   n: int) -> tuple[bool, Optional[Word]]:
-    """``closed_under_theta`` testing each length's factor set in turn."""
+    """``closed_under_theta`` testing each length's factor set in turn, its
+    windows in position order: the witness is the leftmost factor of the
+    shortest failing length whose image is not in the set."""
     pair = theta.pairing
     sym = prefix.symbols
     for length in range(1, n + 1):
         facs = factor_tuples(sym, length)
-        for f in facs:
+        for i in range(len(sym) - length + 1):
+            f = sym[i:i + length]
             if tuple(pair[x] for x in reversed(f)) not in facs:
                 return False, Word(prefix.alphabet, f)
     return True, None

@@ -76,6 +76,29 @@ def test_analyze_word_file_with_swap(capsys, tmp_path):
     assert rep["defect"]["gamma"] == 1
 
 
+def test_closure_witness_is_leftmost_shortest(capsys, tmp_path):
+    # under reversal, abab and aaba are the length-4 factors of baabab with
+    # an absent image; aaba starts first
+    f = tmp_path / "w.txt"
+    f.write_text("baabab\n")
+    code, rep, _ = run_json(capsys, "analyze", "--word-file", str(f),
+                            "--safe-divisor", "1")
+    assert code == 0
+    assert rep["closure"] == {"closed": False, "witness": "aaba",
+                              "checked_up_to": 6}
+
+
+def test_decompose_names_leftmost_witness(capsys, tmp_path):
+    # the factors ca and ab of cccbcaab have an absent reversal; ca starts
+    # first
+    f = tmp_path / "w.txt"
+    f.write_text("cccbcaab\n")
+    code, rep, _ = run_json(capsys, "decompose", "--word-file", str(f),
+                            "--method", "path", "--n", "2")
+    assert code == 2
+    assert rep["payload"] == {"n": 2, "witness": "ca"}
+
+
 def test_rauzy_command_and_dot(capsys, tmp_path):
     dot = tmp_path / "g.dot"
     code, rep, _ = run_json(capsys, "rauzy", "--gen", "fibonacci",

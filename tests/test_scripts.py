@@ -41,10 +41,15 @@ def test_threshold_scan_rejects_min_len_below_one(capsys, monkeypatch, min_len):
 
 
 def test_claims_sweep_slice():
-    # the 48 inputs over 2 letters with seeds of 0-1 letters; CI runs all
-    # 5040 against the counts pinned in the script's docstring
+    # the 48 Theta-standard inputs over 2 letters with seeds of 0-1 letters
+    # and the 10 closed periodic words over 2 letters with periods of 1-3
+    # letters; CI runs both families whole against the counts pinned in the
+    # script's docstring
     counts = runpy.run_path(str(SCRIPTS / "claims_sweep.py"))["counts"]
-    assert counts((2,), range(2)) == {
+    assert counts((2,), range(2), {2: 3}) == {
         "path": {"2 letters": {"ok": 24, "not ok": 24}},
         "return": {"2 letters": {"ok": 48}},
-        "theorem3": {"2 letters": {"ok": 48}}}
+        "theorem3": {"2 letters": {"ok": 48}},
+        "periodic": {"path": {"2 letters": {"ok": 10}},
+                     "return": {"2 letters": {"ok": 10}}},
+        "identity failures": 0}

@@ -1,5 +1,6 @@
 """Readers of the shared PalIndex and of the shared suffix automaton against
 the per-letter and per-length loops they replaced."""
+import itertools
 import random
 
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from palrich.cli import main
 from palrich.core import Alphabet, Antimorphism, Word
 from palrich import complexity
-from palrich.complexity import closed_under_theta, complexity_table
-from palrich.generators import ThueMorseSource
+from palrich.complexity import _SuffixAutomaton, closed_under_theta, \
+    complexity_table
+from palrich.generators import ThueMorseSource, arnoux_rauzy_check
 from palrich.palindromes import PalIndex, defect_profile, pal_index, \
     pal_prefix_lengths
 from palrich.returns import crw_palindromicity_scan
-from conftest import random_involution, random_word
+from conftest import every_involution, random_involution, random_word
 from oracles import (
     append_loop_defect_profile,
     append_loop_pal_prefix_lengths,
@@ -22,6 +24,7 @@ from oracles import (
     factor_set_closed_under_theta,
     factor_set_complexity,
     letter_check_crw_scan,
+    special_extensions_arnoux_rauzy_check,
 )
 
 
@@ -71,6 +74,26 @@ def test_closure_matches_oracle_random(data):
     n = data.draw(st.integers(0, len(word) + 3))
     assert closed_under_theta(theta, word, n) == \
         factor_set_closed_under_theta(theta, word, n)
+
+
+def test_closure_witness_is_leftmost_on_every_short_word():
+    # every word up to 11 letters over 2 letters and up to 7 over 3: the
+    # witness is the leftmost of the shortest factors with an absent image,
+    # and the Arnoux-Rauzy check reads the same closure length under reversal
+    for k, top in ((2, 11), (3, 7)):
+        reversal, *others = every_involution(k)
+        for m in range(top + 1):
+            for symbols in itertools.product(range(k), repeat=m):
+                word = Word(reversal.alphabet, symbols)
+                for theta in (reversal, *others):
+                    for n in range(m + 1):
+                        assert closed_under_theta(theta, word, n) == \
+                            factor_set_closed_under_theta(theta, word, n)
+                closed, witness = factor_set_closed_under_theta(reversal, word, m)
+                unclosed, _ = _SuffixAutomaton(symbols).shortest_absent(symbols[::-1])
+                assert unclosed == (None if closed else len(witness))
+                assert arnoux_rauzy_check(word, m, k) == \
+                    special_extensions_arnoux_rauzy_check(word, m, k)
 
 
 def test_crw_scan_over_large_alphabet_matches_oracle():
