@@ -92,17 +92,24 @@ def run(argv: list[str]) -> int:
         return main([*argv, "--len", str(LENGTH)])
 
 
-def identity(theta: Antimorphism, word: Word) -> tuple[bool, bool]:
-    """(closed, identity holds): the factor set is closed up to the safe
-    length, and sum T(n) = 2 * defect holds with its preconditions."""
+def identity_sides(theta: Antimorphism, word: Word) -> tuple[int, int, bool]:
+    """(sum of T(n) over 1 <= n <= safe length, 2 * defect, the identity's
+    preconditions hold: closed up to the safe length, T(safe) = 0 and the
+    last defect increment at most a quarter of the way in)."""
     safe = default_safe_length(len(word))
-    closed = closed_under_theta(theta, word, safe)[0]
     table = complexity_table(theta, word, safe + 1, safe_length=safe)
     profile = defect_profile(theta, word)
     settled = (profile.last_increment or 0) <= len(word) / 4
-    return closed, (closed and table.t(safe) == 0 and settled
-                    and sum(map(table.t, range(1, safe + 1)))
-                    == 2 * profile.values[-1])
+    holds = (closed_under_theta(theta, word, safe)[0] and table.t(safe) == 0
+             and settled)
+    return (sum(map(table.t, range(1, safe + 1))), 2 * profile.values[-1],
+            holds)
+
+
+def breaks_identity(theta: Antimorphism, word: Word) -> bool:
+    """Whether ``word`` breaks sum T(n) = 2 * defect or a precondition."""
+    total, twice_defect, holds = identity_sides(theta, word)
+    return not holds or total != twice_defect
 
 
 def tally(counts: dict, k: int, code: int) -> None:
@@ -129,15 +136,15 @@ def counts(sizes=(2, 3), seed_lengths=range(4), max_period=MAX_PERIOD) -> dict:
                 tally(out[method], k, run(["decompose", *argv, *closure]))
             source = ClosureSource(theta, Word.from_text(ab, seed),
                                    DirectiveSequence.parse(ab, "", period))
-            failures += not identity(theta, source.prefix(LENGTH))[1]
+            failures += breaks_identity(theta, source.prefix(LENGTH))
         for pairs, period in itertools.product(involutions(letters),
                                                periods(letters, max_period[k])):
             theta = Antimorphism.from_pairs(ab, pairs)
-            closed, holds = identity(
-                theta, PeriodicSource(Word.from_text(ab, period)).prefix(LENGTH))
-            if not closed:
+            word = PeriodicSource(Word.from_text(ab, period)).prefix(LENGTH)
+            if not closed_under_theta(theta, word,
+                                      default_safe_length(LENGTH))[0]:
                 continue
-            failures += not holds
+            failures += breaks_identity(theta, word)
             for method, argv in PERIODIC_METHODS.items():
                 tally(periodic[method], k,
                       run(["decompose", "--gen", f"periodic:{period}",

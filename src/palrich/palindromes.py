@@ -58,15 +58,12 @@ class PalIndex:
             raise InputError(f"invalid letter index {bad}")
         sym = [-1, *symbols]    # a sentinel, then the letters
         # a word has at most one node per letter besides the two roots, so
-        # the columns are filled by index and cut to the node count at the
-        # end; a flat edge table gets one k-entry row per node as it comes
+        # the columns are filled by index and cut to the node count at the end
         rows = len(symbols) + 2
         length, link, first_end, lps_of = \
             [0] * rows, [0] * rows, [0] * rows, [0] * rows
         length[0] = first_end[0] = first_end[1] = -1
-        flat = k <= FLAT_EDGE_LETTERS
-        row = [0] * k if flat else None
-        nxt = row * 2 if flat else _Edges()
+        nxt = [0] * (rows * k) if k <= FLAT_EDGE_LETTERS else _Edges()
         count, last = 2, 1
         for p, a in enumerate(symbols):
             # v runs down the suffix palindromes of the prefix to the first
@@ -87,8 +84,6 @@ class PalIndex:
                 continue
             last = count
             count += 1
-            if flat:
-                nxt += row
             length[last] = length[v] + 2
             # the link is the next such suffix extended by a; at the root,
             # the node of a if it is older than the new node, else empty
@@ -101,6 +96,8 @@ class PalIndex:
             lps_of[last] = 1
         for col in (length, link, first_end, lps_of):
             del col[count:]
+        if k <= FLAT_EDGE_LETTERS:
+            del nxt[count * k:]
         self.theta = theta
         self.length, self.link, self.first_end, self.lps_of = \
             length, link, first_end, lps_of

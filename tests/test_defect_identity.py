@@ -9,27 +9,18 @@ uniformly recurrent words).  The general Theta form is observed on the
 inputs below, not quoted from a theorem.
 """
 import itertools
+import pathlib
+import runpy
 
-from palrich.complexity import (
-    closed_under_theta,
-    complexity_table,
-    default_safe_length,
-)
+from palrich.complexity import closed_under_theta, default_safe_length
 from palrich.core import Word
-from palrich.palindromes import defect_profile
 from conftest import corpus, every_involution
 
-
-def identity_sides(theta, w):
-    """(sum of T(n) up to the safe length, 2 * defect, preconditions hold)."""
-    safe = default_safe_length(len(w))
-    table = complexity_table(theta, w, safe + 1, safe_length=safe)
-    profile = defect_profile(theta, w)
-    settled = (profile.last_increment or 0) <= len(w) / 4
-    holds = (closed_under_theta(theta, w, safe)[0] and table.t(safe) == 0
-             and settled)
-    return (sum(table.t(n) for n in range(1, safe + 1)),
-            2 * profile.values[-1], holds)
+# the identity and its preconditions are written once, in the claims sweep,
+# which counts the words of its two families that break them
+identity_sides = runpy.run_path(
+    str(pathlib.Path(__file__).resolve().parents[1] / "scripts"
+        / "claims_sweep.py"))["identity_sides"]
 
 
 def test_identity_on_corpus():

@@ -94,13 +94,12 @@ def test_invalid_letter_raises_before_building(tr):
             NodePalIndex(tr).extend((0, 1, 1, bad, 0, 5))
 
 
-def traced_bytes(build) -> tuple[int, int]:
-    """(bytes held by what ``build`` returns, peak bytes while it ran)."""
+def traced_bytes(build) -> int:
     gc.collect()
     tracemalloc.start()
     try:
         idx = build()
-        return tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 
@@ -114,18 +113,6 @@ def node_index(theta, symbols) -> NodePalIndex:
 def test_columns_hold_at_most_45_percent_of_node_index_memory(tr):
     # about 140 against 377 bytes per letter on CPython 3.11
     symbols = fibonacci_source().prefix(65536).symbols
-    cols, _ = traced_bytes(lambda: PalIndex(tr, symbols))
-    nodes, _ = traced_bytes(lambda: node_index(tr, symbols))
+    cols = traced_bytes(lambda: PalIndex(tr, symbols))
+    nodes = traced_bytes(lambda: node_index(tr, symbols))
     assert cols <= 0.45 * nodes, (cols, nodes)
-
-
-def test_flat_edge_table_grows_with_the_tree():
-    # a random word over 8 letters has few palindromes (884 nodes here), so
-    # a build that held one edge row per letter, not per node, would peak at
-    # 136 bytes per letter on CPython 3.11, where it peaks at 49: 40 are the
-    # four preallocated columns and the list of letters
-    ab = Alphabet(tuple("abcdefgh"))
-    rng = random.Random(8)
-    symbols = tuple(rng.randrange(len(ab)) for _ in range(65536))
-    _, peak = traced_bytes(lambda: PalIndex(Antimorphism.reversal(ab), symbols))
-    assert peak <= 60 * len(symbols), peak / len(symbols)
