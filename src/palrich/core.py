@@ -7,6 +7,7 @@ function.
 """
 from __future__ import annotations
 
+import codecs
 import sys
 from array import array
 from collections.abc import Iterable
@@ -266,13 +267,16 @@ def gamma(theta: Antimorphism, w: Word) -> int:
     return len(pairs)
 
 
+_utf_32_decode = getattr(codecs, f"utf_32_{sys.byteorder[0]}e_decode")
+
+
 def encode(symbols) -> str:
     """Letter indices as the code points of one ``str``, so ``str.find`` hits
     whole letters only and equal-length words sort as their tuples do.  The
-    byte order is named, so a leading 65279 is no byte-order mark, and
+    native byte order's codec is called itself (no registry lookup, no
+    ``encodings`` import): a leading 65279 is no byte-order mark, and
     55296-57343 pass as lone surrogates."""
-    return array("I", symbols).tobytes().decode(f"utf-32-{sys.byteorder[0]}e",
-                                                "surrogatepass")
+    return _utf_32_decode(array("I", symbols), "surrogatepass", True)[0]
 
 
 def find_all(text: str, needle: str, start: int = 0) -> list[int]:

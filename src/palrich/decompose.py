@@ -12,7 +12,8 @@ outputs for auditability.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 
 from .core import (
     Alphabet,
@@ -95,12 +96,13 @@ def _recode(prefix: Word, segments, codes, overlap: int, letters: tuple,
             cut, kind: str) -> tuple[Morphism, Word]:
     # phi sends letter k to segment k less its overlap with the next one, v
     # is ``codes``; phi(v) must give back the prefix from the first to the
-    # last position of the cut
+    # last position of the cut, compared as encoded text
     b_alpha = Alphabet(letters)
     phi = Morphism(b_alpha, prefix.alphabet, tuple(
         Word.unchecked(prefix.alphabet, e[:len(e) - overlap]) for e in segments))
     v = Word.unchecked(b_alpha, tuple(codes))
-    if phi.image(codes) != prefix.symbols[cut[0]:cut[-1]]:
+    texts = [im.encoded for im in phi.images]
+    if "".join(map(texts.__getitem__, codes)) != prefix.encoded[cut[0]:cut[-1]]:
         raise InvariantError(f"{kind} refactorization mismatch")
     return phi, v
 
@@ -126,9 +128,10 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
 
     The coding length is bumped to the smallest n' >= n whose length-n'
     prefix is special (so the coding starts at position 0); eventually
-    periodic inputs take the unary branch.  Whether that prefix is special
-    is read from its own occurrences, so the special factors are listed at
-    n and at the chosen length only.  The search need not stop at a length
+    periodic inputs take the unary branch.  Whether the length-n prefix is
+    special is read from the special factors listed at n; past n, from that
+    prefix's own occurrences, so the special factors are listed at n and at
+    the chosen length only.  The search need not stop at a length
     without special factors: a left (right) special factor has a left
     (right) special prefix (suffix) one letter shorter, so no greater
     length has any either.  Requires the factor set to be closed under
@@ -144,14 +147,16 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
         return _periodic_coding(prefix, n)
 
     flags: dict = {}
-    for chosen in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
-        occ = occurrences(prefix, prefix.factor(0, chosen))
-        left, right = factor_extensions(sym, occ, chosen)
-        if len(left) >= 2 or len(right) >= 2:
-            break
-    else:
-        chosen = n
-        flags["aligned_at_first_special"] = True
+    chosen = n
+    if sym[:n] not in specials:
+        for chosen in range(n + 1, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
+            occ = occurrences(prefix, prefix.factor(0, chosen))
+            left, right = factor_extensions(sym, occ, chosen)
+            if len(left) >= 2 or len(right) >= 2:
+                break
+        else:
+            chosen = n
+            flags["aligned_at_first_special"] = True
     if chosen != n:
         specials, positions, (paths, v_sym) = simple_path_cut(sym, chosen)
 
@@ -238,7 +243,10 @@ def _mirror_bounded_witnesses(theta2: Antimorphism, v_prefix: Word,
     for j in range(1, n):
         a, b = seq[sa[j - 1]:sa[j - 1] + top], seq[sa[j]:sa[j] + top]
         if a != b:  # a sorts first: no mismatch makes it a prefix of b
-            h = next((k for k, (c, d) in enumerate(zip(a, b)) if c != d), len(a))
+            h, hi = 0, len(a)   # a[:h] == b[:h]; the common prefix is at most hi
+            while h < hi:
+                mid = (h + hi + 1) // 2
+                h, hi = (mid, hi) if a[h:mid] == b[h:mid] else (h, mid - 1)
             cut_at[h].append(j)
     # runs: w -> (s, e) in sa; found: w -> {segment: (first occurrence of w, of it)}
     cuts, witnesses, runs, found = [0, n], [], {}, {}
@@ -300,16 +308,18 @@ def richness_conditions_check(theta2: Antimorphism, v_prefix: Word,
         witnesses = _mirror_bounded_witnesses(theta2, v_prefix, max_factor_len)
     # condition (ii): the letters of each pair {a, Theta(a)}, a < Theta(a),
     # alternate; a test of every letter reports the smallest failing a at the
-    # first index where a letter of its pair follows itself
-    pair, last, failed = theta2.pairing, {}, {}
-    for i, x in enumerate(v_prefix.symbols):
-        a = min(x, pair[x])
-        if a != pair[a] and last.get(a) == x:
-            failed.setdefault(a, i)
-        last[a] = x
-    a = min(failed, default=None)
-    cond_ii_witness = (None if a is None else
-                       f"letter {theta2.alphabet.letters[a]} at index {failed[a]}")
+    # first index where a letter of its pair follows itself.  v's positions
+    # sorted stably by pair, fixed letters cut off, hold one block per pair,
+    # in index order, so the first letter repeated in their text is it
+    pair, sym = theta2.pairing, v_prefix.symbols
+    key = [min(x, y) if x != y else len(pair) for x, y in enumerate(pair)]
+    keys = list(map(key.__getitem__, sym))
+    order = sorted(range(len(sym)), key=keys.__getitem__)
+    order = order[:bisect_left(order, len(pair), key=keys.__getitem__)]
+    twice = re.search(r"(.)\1", encode(map(sym.__getitem__, order)), re.DOTALL)
+    i = order[twice.end() - 1] if twice else None
+    cond_ii_witness = (None if i is None else
+                       f"letter {theta2.alphabet.letters[keys[i]]} at index {i}")
     return RichnessConditionsReport(
         condition_i=not witnesses,
         condition_i_witnesses=tuple(witnesses[:REPORTED_WITNESSES]),

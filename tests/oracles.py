@@ -14,17 +14,23 @@ segment in a radius table, the other compares it with its Theta-image.  The
 sorted suffix table scan cuts the segments of every factor, where the library
 gives a factor y a that is no Theta-palindrome the segments of y when y has
 one right extension and Theta(y) one left extension in v.
-Condition (ii) merges the occurrence lists of each letter and its image,
-where the library makes one pass over v, and equations (3) and (4) are
-checked on ``Word``s, where the library compares symbol tuples.  The
-palindromic tree keeps one object per node, where the library keeps columns;
-the per-letter loops build it.  The complete-return scan reports each
-violation as two ``Word``s spelled one by one, where the library keeps spans
-of the prefix and spells them from one text.  Occurrences are found by
-comparing a tuple slice at every position, where the library searches one
-code point per letter; the condition (i) sweeps choose bytes or tuples from
-the letters they meet, and the sorted suffix table scan searches fixed-width
-big-endian bytes, hitting only offsets at a multiple of the width.
+Condition (ii) merges the occurrence lists of each letter and its image, or
+makes one pass over v, where the library searches one text of v's positions
+sorted by pair; equations (3) and (4) are checked on ``Word``s, where the
+library compares symbol tuples, and phi(v) is compared with the prefix as a
+tuple, where the library joins the images' encoded texts.  The palindromic
+tree keeps one object per node, where the library keeps columns; the
+per-letter loops build it.  The complete-return scan reports each violation
+as two ``Word``s spelled one by one, where the library keeps spans of the
+prefix and spells them from one text.  Occurrences are found by comparing a
+tuple slice at every position, where the library searches one code point per
+letter, and letters are encoded through the codec registry by name, where
+the library calls the native byte order's decoder itself; the condition (i)
+sweeps choose bytes or tuples from the letters they meet, and the sorted
+suffix table scan searches fixed-width big-endian bytes, hitting only
+offsets at a multiple of the width, and finds the common prefix of two
+neighbours in its table letter by letter, where the library bisects over
+slice equality.
 A Theta-palindrome is tested letter by letter against the mirrored letter,
 where the library compares a word with its Theta-image, and the tree test of
 Proposition 1 builds an adjacency list and walks it depth first, where the
@@ -32,6 +38,8 @@ library makes one union-find pass over the edges.  The Thue-Morse letter at
 i is the parity of the ones in the binary expansion of i, where the library
 doubles a block of bytes by its complement.
 """
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -745,6 +753,36 @@ def occurrences_alternate(theta: Antimorphism, prefix: Word,
         if l1 == l2:
             return False, i2
     return True, None
+
+
+def one_pass_condition_ii(theta2: Antimorphism,
+                          v: Word) -> tuple[bool, Optional[str]]:
+    """Condition (ii) of ``richness_conditions_check`` in one pass over v: for
+    each pair {a, Theta(a)}, a < Theta(a), the first index where a letter of
+    the pair follows itself; the smallest failing a is reported."""
+    pair, last, failed = theta2.pairing, {}, {}
+    for i, x in enumerate(v.symbols):
+        a = min(x, pair[x])
+        if a != pair[a] and last.get(a) == x:
+            failed.setdefault(a, i)
+        last[a] = x
+    a = min(failed, default=None)
+    if a is None:
+        return True, None
+    return False, f"letter {theta2.alphabet.letters[a]} at index {failed[a]}"
+
+
+def tuple_refactorization_holds(prefix: Word, phi: Morphism, codes,
+                                cut) -> bool:
+    """``decompose._recode``'s check as symbol tuples: phi(codes) is the
+    prefix from the first to the last point of the cut."""
+    return phi.image(codes) == prefix.symbols[cut[0]:cut[-1]]
+
+
+def named_codec_encode(symbols) -> str:
+    """``core.encode`` through the codec registry, by the byte order's name."""
+    return array("I", symbols).tobytes().decode(f"utf-32-{sys.byteorder[0]}e",
+                                                "surrogatepass")
 
 
 def every_letter_condition_ii(theta2: Antimorphism,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palrich.cli import _parse_theta, main
-from palrich.core import MAX_LETTERS, Alphabet, Antimorphism, InputError, Morphism
+from palrich.core import MAX_LETTERS, Alphabet, Antimorphism, InputError, Morphism, Word
 from conftest import random_word
 
 
@@ -403,26 +403,40 @@ def test_analyze_max_rauzy_n_below_1_exit_1(capsys):
 
 
 def _corrupt_morphism(monkeypatch):
-    original = Morphism.image
+    # the check reads phi's images: the last letter of the first one changes
+    def corrupted(source, target, images):
+        first = images[0].symbols
+        bad = first[:-1] + ((first[-1] + 1) % len(target),)
+        return Morphism(source, target, (Word(target, bad),) + images[1:])
+    monkeypatch.setattr("palrich.decompose.Morphism", corrupted)
 
-    def corrupted(phi, symbols):
-        return original(phi, symbols)[1:]
-    monkeypatch.setattr(Morphism, "image", corrupted)
 
-
-@pytest.mark.parametrize("method, gen", [("path", "fibonacci"),
-                                         ("return", "fibonacci"),
-                                         ("path", "periodic:ab")],
-                         ids=["path", "return", "periodic"])
-def test_refactorization_mismatch_exit_3(capsys, monkeypatch, method, gen):
+@pytest.mark.parametrize("args", [
+    ("--gen", "fibonacci", "--method", "path"),
+    ("--gen", "fibonacci", "--method", "return"),
+    ("--gen", "periodic:ab", "--method", "path"),
+    ("--method", "theorem3", "--theta", "pairs:a-b", "--directive", "(ab)")],
+    ids=["path", "return", "periodic", "theorem3"])
+def test_refactorization_mismatch_exit_3(capsys, monkeypatch, args):
     # every recoding, the unary coding of a periodic word included, is
     # checked by the one refactorization step
     _corrupt_morphism(monkeypatch)
-    code, err = run_error(capsys, "decompose", "--gen", gen,
-                          "--len", "400", "--method", method)
+    code, err = run_error(capsys, "decompose", *args, "--len", "400")
     assert code == 3
     assert err.startswith("error: internal invariant violated: ")
     assert "refactorization mismatch" in err
+
+
+def test_condition_ii_witness_from_word_file(capsys, tmp_path):
+    # v = [0] [1] [1] [1] [2] [3] ... with Theta2 pairing [1] <-> [3] and
+    # fixing [0] and [2]: [1] follows itself first at index 2
+    path = tmp_path / "w.txt"
+    path.write_text("baaaabbaaaabbaaaabbaaaabbaaaabbaaaabbabaabb")
+    code, rep, _ = run_json(capsys, "decompose", "--word-file", str(path),
+                            "--theta", "pairs:a-b", "--method", "path", "--n", "1")
+    assert code == 2
+    assert rep["richness_conditions"]["condition_ii"] is False
+    assert rep["richness_conditions"]["condition_ii_witness"] == "letter [1] at index 2"
 
 
 def test_memory_exhaustion_exit_1(capsys, monkeypatch):

@@ -1,9 +1,10 @@
-"""Every alphabet searched as one code point per letter: ``occurrences``,
-the complete-return scan and condition (i) against the tuple-slice oracles,
-over 2, 255, 256, 257, 300, 57345 and 65537 letters.  The drawn letters sit
-where CPython's string storage widens (255-257, 65535-65536), on the
-surrogates 55296-57343 that ``encode`` passes through, and on the
-byte-order mark 65279."""
+"""Every alphabet searched as one code point per letter: ``encode``,
+``occurrences``, the complete-return scan and conditions (i) and (ii)
+against the codec-registry and tuple-slice oracles, over 2, 255, 256, 257,
+300, 57345 and 65537 letters.  The drawn letters sit where CPython's string
+storage widens (255-257, 65535-65536), on the surrogates 55296-57343 that
+``encode`` passes through, on the byte-order mark 65279, and on 10, a
+newline, which a regular expression's ``.`` matches only under DOTALL."""
 import json
 import random
 
@@ -11,10 +12,11 @@ import pytest
 
 from palrich.cli import main
 from palrich.core import Alphabet, Antimorphism, Word, encode, occurrences
-from palrich.decompose import _mirror_bounded_witnesses
+from palrich.decompose import _mirror_bounded_witnesses, richness_conditions_check
 from palrich.generators import ClosureSource, DirectiveSequence, fibonacci_source
 from palrich.returns import crw_palindromicity_scan
-from oracles import crw_outcome, crw_words, letter_check_crw_scan, \
+from oracles import crw_outcome, crw_words, every_letter_condition_ii, \
+    letter_check_crw_scan, named_codec_encode, one_pass_condition_ii, \
     radius_table_condition_i, slice_occurrences
 
 SIZES = (2, 255, 256, 257, 300, 57345, 65537)
@@ -25,7 +27,7 @@ def alphabet(k: int) -> Alphabet:
     return Alphabet(tuple(f"x{i:05d}" for i in range(k)))
 
 
-BOUNDARIES = (0, 1, 2, 255, 256, 257, 55295, 55296, 57343, 57344, 65279,
+BOUNDARIES = (0, 1, 2, 10, 255, 256, 257, 55295, 55296, 57343, 57344, 65279,
               65535, 65536)
 
 
@@ -71,6 +73,18 @@ def test_encode_writes_one_code_point_per_letter(k):
 
 
 @pytest.mark.parametrize("k", SIZES)
+def test_encode_matches_named_codec(k):
+    # every pool letter first, a leading 65279 and lone surrogates included
+    rng = random.Random(300 + k)
+    letters = pool(k)
+    for first in letters:
+        for _ in range(5):
+            sym = (first, *rng.choices(letters, k=rng.randint(0, 8)))
+            assert encode(sym) == named_codec_encode(sym)
+    assert encode(()) == named_codec_encode(()) == ""
+
+
+@pytest.mark.parametrize("k", SIZES)
 def test_encode_sorts_like_tuples(k):
     ab = alphabet(k)
     words = [Word(ab, (a, b)) for a in pool(k) for b in pool(k)]
@@ -112,6 +126,24 @@ def test_condition_i_matches_oracle(k):
         for top in (1, 2, 4, 7):
             assert _mirror_bounded_witnesses(theta, word, top) == \
                 radius_table_condition_i(theta, word, top)
+
+
+@pytest.mark.parametrize("k", SIZES)
+def test_condition_ii_matches_oracles(k):
+    rng = random.Random(400 + k)
+    ab = alphabet(k)
+    cases = [(random_theta(rng, ab, pool(k)), word)
+             for word in random_words(rng, ab, 40, 40) if word.symbols]
+    if k > 10:  # a pair of newlines is the first failure
+        a = max(pool(k))
+        newline = Antimorphism(ab, tuple({10: a, a: 10}.get(x, x) for x in range(k)))
+        cases.append((newline, Word(ab, (a, 10, 10, a))))
+    for theta, word in cases:
+        rep = richness_conditions_check(theta, word, 1)
+        assert (rep.condition_ii, rep.condition_ii_witness) == \
+            one_pass_condition_ii(theta, word) == every_letter_condition_ii(theta, word)
+    if k > 10:
+        assert rep.condition_ii_witness == "letter x00010 at index 2"
 
 
 def test_crw_threshold_counts_letters():

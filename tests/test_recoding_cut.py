@@ -4,18 +4,21 @@ Both recodings cut the prefix at consecutive occurrences, and v has one
 letter per pair of neighbouring cut points, so there are ``len(v) + 1`` cut
 points on every branch; the reported covered span is the first and the last.
 """
+import random
+
 import pytest
 
 import palrich.decompose
-from palrich.core import Antimorphism, Word
+from palrich.core import Alphabet, Antimorphism, InvariantError, Morphism, Word
 from palrich.decompose import (
     DecomposeError,
+    _recode,
     theorem1_decompose,
     theorem2_decompose,
 )
 from palrich.generators import PeriodicSource
 from conftest import corpus
-from oracles import apply_morphism
+from oracles import apply_morphism, tuple_refactorization_holds
 
 
 def assert_cut(coding, prefix):
@@ -69,3 +72,35 @@ def test_periodic_branch_lists_no_occurrences(monkeypatch):
     coding = theorem1_decompose(Antimorphism.reversal(word.alphabet), word, 1)
     assert coding.flags["periodic"]
     assert calls == []
+
+
+def test_text_check_matches_tuple_check():
+    # _recode compares the images' joined texts with the covered text; the
+    # oracle compares symbol tuples.  Each path coding of the corpus is
+    # recoded again from its segments, as cut and with one letter changed
+    # (inside an image, or in the overlap that phi drops), or with v's first
+    # two letters swapped.
+    rng = random.Random(29)
+    outcomes = set()
+    for _, theta, word in corpus(4000):
+        coding = theorem1_decompose(theta, word, 1)
+        n, codes, cut = coding.n, coding.v_prefix.symbols, coding.occurrence_indices
+        segments = [e.symbols for e in coding.path_table.values()]
+        letters = coding.phi.source.letters
+        trials = [(segments, codes), (segments, codes[1::-1] + codes[2:])]
+        for _ in range(6):
+            k = rng.randrange(len(segments))
+            e, j = segments[k], rng.randrange(len(segments[k]))
+            bad = e[:j] + ((e[j] + 1) % len(word.alphabet),) + e[j + 1:]
+            trials.append((segments[:k] + [bad] + segments[k + 1:], codes))
+        for segs, v in trials:
+            phi = Morphism(Alphabet(letters), word.alphabet, tuple(
+                Word(word.alphabet, e[:len(e) - n]) for e in segs))
+            holds = tuple_refactorization_holds(word, phi, v, cut)
+            outcomes.add(holds)
+            if holds:
+                assert _recode(word, segs, v, n, letters, cut, "simple-path")[0] == phi
+            else:
+                with pytest.raises(InvariantError, match="simple-path refactorization"):
+                    _recode(word, segs, v, n, letters, cut, "simple-path")
+    assert outcomes == {True, False}

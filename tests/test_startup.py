@@ -18,3 +18,18 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def test_decompose_imports_no_utf_32_codec_module():
+    # encode calls the native byte order's decoder itself, so no command
+    # looks the codec up in the registry and imports its encodings module
+    code = ("import palrich.cli, sys; "
+            "palrich.cli.main(['decompose', '--gen', 'fibonacci', '--len', '400', "
+            "'--method', 'path', '--n', '1']); "
+            "print([m for m in sys.modules if m.startswith('encodings.utf_32')], "
+            "file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert '"method": "path"' in out.stdout
+    assert out.stderr.strip() == "[]"

@@ -1,14 +1,17 @@
-"""Theorem 1 tests each candidate coding length by the prefix's occurrences.
+"""Theorem 1 tests each candidate coding length past n by the prefix's
+occurrences.
 
-The library reads whether the prefix of a length is special from that
-prefix's own occurrence list, so it lists the special factors at n and at
-the chosen length only.  The oracle lists them at every length it tries and
+The library reads whether the length-n prefix is special from the special
+factors it lists at n, and at a greater length from that prefix's own
+occurrence list, so it lists the special factors at n and at the chosen
+length only.  The oracle lists them at every length it tries and
 stops at a length with none; the reports and the errors must agree.
 """
 import random
 
 from hypothesis import given, settings, strategies as st
 
+import palrich.decompose
 import palrich.rauzy
 from palrich.core import Alphabet, Antimorphism, Word
 from palrich.decompose import DecomposeError, theorem1_decompose
@@ -99,3 +102,26 @@ def test_special_factors_listed_at_most_twice(monkeypatch):
                 assert calls == ([n] if chosen == n else [n, chosen])
                 bumped += chosen > n
     assert bumped > 0
+
+
+def test_occurrences_searched_only_past_n(monkeypatch):
+    real = palrich.decompose.occurrences
+    calls: list[int] = []
+
+    def counted(word, factor):
+        calls.append(len(factor))
+        return real(word, factor)
+
+    monkeypatch.setattr(palrich.decompose, "occurrences", counted)
+    at_n = 0
+    for theta, word in some_words(12, 100):
+        for n in range(1, len(word) // 4 + 1):
+            calls.clear()
+            got = outcome(theorem1_decompose, theta, word, n)
+            # lengths n + 1, n + 2, ... up to the chosen one or the budget
+            assert calls == list(range(n + 1, n + 1 + len(calls)))
+            if got[0] == "coding" and got[1]["n"] == n and \
+                    "aligned_at_first_special" not in got[1]["flags"]:
+                assert calls == []   # the length-n prefix is special
+                at_n += 1
+    assert at_n > 0
