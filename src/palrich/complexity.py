@@ -231,7 +231,9 @@ def closed_under_theta(theta: Antimorphism, prefix: Word,
     """Is the factor set of the prefix closed under Theta up to length n?
 
     Returns (True, None) or (False, witness).  The witness is the leftmost
-    of the shortest factors whose Theta-image is absent.
+    of the shortest factors whose Theta-image is absent.  ``analyze`` decides
+    closure here: at its |w| / 64 a window check would be quadratic, and it
+    reads C(n) off the same automaton.  Theorem 1 asks here for its witness.
     """
     _check_same(theta, prefix)
     counts = _factor_counts(theta, prefix.symbols)

@@ -123,6 +123,16 @@ def _periodic_coding(prefix: Word, n: int) -> SimplePathCoding:
         tail_length=len(sym) - cut[-1], flags={"periodic": True, "period_length": p})
 
 
+def _closed_at(theta: Antimorphism, text: str, n: int) -> bool:
+    """Is the factor set of ``text`` (an encoded word) closed under Theta up
+    to length n <= |text|?  A factor no longer than n with an absent image
+    lies in a length-n window, whose image is absent too: so the image of
+    each window, its slice of the mirror text, must be a window.  O(|w| n),
+    as theorem 1's cut, and no suffix automaton is built."""
+    windows = {text[i:i + n] for i in range(len(text) - n + 1)}
+    return all(f[::-1].translate(theta.pairing) in windows for f in windows)
+
+
 def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathCoding:
     """Recode the prefix over the alphabet of its n-simple paths.
 
@@ -135,7 +145,8 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
     without special factors: a left (right) special factor has a left
     (right) special prefix (suffix) one letter shorter, so no greater
     length has any either.  Requires the factor set to be closed under
-    Theta at the chosen length.
+    Theta at the chosen length: ``_closed_at`` decides it, and only a failure
+    asks ``closed_under_theta`` for its leftmost shortest witness.
     """
     _check_same(theta, prefix)
     if not 1 <= n <= len(prefix) // 4:
@@ -160,11 +171,13 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
     if chosen != n:
         specials, positions, (paths, v_sym) = simple_path_cut(sym, chosen)
 
-    closed, witness = closed_under_theta(theta, prefix, chosen)
-    if not closed:
+    if not _closed_at(theta, prefix.encoded, chosen):
+        closed, witness = closed_under_theta(theta, prefix, chosen)
+        if closed:
+            raise InvariantError("closure at the coding length decided two ways")
         raise DecomposeError(
             "factor set is not closed under Theta at the coding length",
-            {"n": chosen, "witness": witness.text if witness else None})
+            {"n": chosen, "witness": witness.text})
 
     if len(positions) < 2:
         raise DecomposeError("fewer than two special-factor occurrences witnessed",

@@ -7,7 +7,9 @@ exception: they take the candidate lengths from the library
 (``decompose._candidate_prefix_lengths``, itself pinned against the
 complete-return scan in ``test_crw_lemma.py``) and replace only how p is
 chosen and coded.  The theorem 1 selection lists the special factors of
-every length it tries, and so does the Arnoux-Rauzy check.  The condition
+every length it tries, and so does the Arnoux-Rauzy check; both test closure
+on the factor set of every length up to theirs, where the library reads the
+length-n windows (theorem 1) or one suffix automaton.  The condition
 (i) sweeps visit every window of every length, where the library cuts each
 distinct minimal segment once from a sorted suffix table; one tests each
 segment in a radius table, the other compares it with its Theta-image.  The
@@ -55,7 +57,6 @@ from palrich.core import (
     occurrences,
     segment_coding,
 )
-from palrich.complexity import closed_under_theta
 from palrich.decompose import (
     REPORTED_WITNESSES,
     SEARCH_BUDGET,
@@ -476,8 +477,8 @@ def _special_tuples(sym: tuple, n: int) -> set[tuple]:
 def per_length_theorem1(theta: Antimorphism, prefix: Word,
                         n: int) -> SimplePathCoding:
     """``theorem1_decompose`` listing the special factors of each length from
-    n on until the prefix of that length is one of them, and stopping at a
-    length with none."""
+    n on until the prefix of that length is one of them, stopping at a
+    length with none, and testing closure on each length's factor set."""
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
     if not 1 <= n <= len(prefix) // 4:
@@ -498,11 +499,11 @@ def per_length_theorem1(theta: Antimorphism, prefix: Word,
     if chosen is None:
         chosen = n
         flags["aligned_at_first_special"] = True
-    closed, witness = closed_under_theta(theta, prefix, chosen)
+    closed, witness = factor_set_closed_under_theta(theta, prefix, chosen)
     if not closed:
         raise DecomposeError(
             "factor set is not closed under Theta at the coding length",
-            {"n": chosen, "witness": witness.text if witness else None})
+            {"n": chosen, "witness": witness.text})
     positions = [i for i in range(len(sym) - chosen + 1)
                  if sym[i:i + chosen] in specials]
     if len(positions) < 2:

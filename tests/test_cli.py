@@ -99,6 +99,17 @@ def test_decompose_names_leftmost_witness(capsys, tmp_path):
     assert rep["payload"] == {"n": 2, "witness": "ca"}
 
 
+def test_decompose_closure_failure_exit_2(capsys):
+    # the tribonacci factors are closed under reversal, not under a <-> b:
+    # every letter has its image, but Theta(ac) = cb is no factor
+    code, rep, _ = run_json(capsys, "decompose", "--gen", "tribonacci",
+                            "--len", "400", "--theta", "pairs:a-b,c-c",
+                            "--method", "path", "--n", "2")
+    assert code == 2
+    assert rep["error"] == "factor set is not closed under Theta at the coding length"
+    assert rep["payload"] == {"n": 2, "witness": "ac"}
+
+
 def test_rauzy_command_and_dot(capsys, tmp_path):
     dot = tmp_path / "g.dot"
     code, rep, _ = run_json(capsys, "rauzy", "--gen", "fibonacci",

@@ -1,22 +1,29 @@
 """Theorem 1 tests each candidate coding length past n by the prefix's
-occurrences.
+occurrences, and closure at the chosen length by its windows of that length.
 
 The library reads whether the length-n prefix is special from the special
 factors it lists at n, and at a greater length from that prefix's own
 occurrence list, so it lists the special factors at n and at the chosen
 length only.  The oracle lists them at every length it tries and
-stops at a length with none; the reports and the errors must agree.
+stops at a length with none; the reports and the errors must agree.  The
+oracle tests closure on the factor set of every length up to the chosen one,
+where the library tests the images of the windows of the chosen length and
+builds a suffix automaton only for the witness of a failure.
 """
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import palrich.complexity
 import palrich.decompose
 import palrich.rauzy
 from palrich.core import Alphabet, Antimorphism, Word
-from palrich.decompose import DecomposeError, theorem1_decompose
-from conftest import near_periodic, random_involution, random_word
-from oracles import per_length_theorem1
+from palrich.decompose import DecomposeError, _closed_at, theorem1_decompose
+from palrich.generators import tribonacci_source
+from conftest import corpus, every_involution, near_periodic, random_involution, random_word
+from oracles import factor_set_closed_under_theta, per_length_theorem1
 
 
 def outcome(select, theta, word, n):
@@ -125,3 +132,67 @@ def test_occurrences_searched_only_past_n(monkeypatch):
                 assert calls == []   # the length-n prefix is special
                 at_n += 1
     assert at_n > 0
+
+
+def test_closed_at_matches_factor_sets_on_short_words():
+    outcomes = set()
+    for k, top in ((1, 12), (2, 12), (3, 8)):
+        for theta in every_involution(k):
+            for length in range(4, top + 1):
+                for sym in itertools.product(range(k), repeat=length):
+                    word = Word(theta.alphabet, sym)
+                    for n in range(1, length // 4 + 1):
+                        closed = factor_set_closed_under_theta(theta, word, n)[0]
+                        assert _closed_at(theta, word.encoded, n) is closed, (word, n)
+                        outcomes.add(closed)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closed_at_matches_factor_sets_on_random_words(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    theta = random_involution(rng, data.draw(st.integers(1, 9)))
+    make = random_word if data.draw(st.booleans()) else near_periodic
+    word = make(rng, theta, data.draw(st.integers(4, 300)))
+    # factor_set_closed_under_theta tests the lengths in order and stops at
+    # the first failing one, so at n it is closed exactly when that length,
+    # found once up to |w| / 4, is past n
+    _, witness = factor_set_closed_under_theta(theta, word, len(word) // 4)
+    for n in range(1, len(word) // 4 + 1):
+        closed = witness is None or len(witness) > n
+        assert _closed_at(theta, word.encoded, n) is closed, (word, n)
+
+
+def _count_automata(monkeypatch) -> list[int]:
+    # the length of every word a suffix automaton is built for, from a cold
+    # closure cache
+    real = palrich.complexity._SuffixAutomaton.__init__
+    built: list[int] = []
+
+    def counted(self, symbols):
+        built.append(len(symbols))
+        real(self, symbols)
+
+    monkeypatch.setattr(palrich.complexity._SuffixAutomaton, "__init__", counted)
+    palrich.complexity._factor_counts.cache_clear()
+    return built
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ts_exchange"])
+def test_coding_builds_no_suffix_automaton(monkeypatch, name):
+    theta, word = next((t, w) for nm, t, w in corpus(4000) if nm == name)
+    built = _count_automata(monkeypatch)
+    coding = theorem1_decompose(theta, word, 1)
+    assert coding.n >= 1 and built == []
+
+
+def test_closure_failure_builds_the_automaton_for_its_witness(monkeypatch):
+    # tribonacci is closed under reversal, not under a <-> b: Theta(ac) = cb
+    # is absent, and ac is the leftmost shortest factor with an absent image
+    abc = Alphabet(("a", "b", "c"))
+    theta = Antimorphism.from_pairs(abc, [("a", "b"), ("c", "c")])
+    built = _count_automata(monkeypatch)
+    with pytest.raises(DecomposeError) as exc:
+        theorem1_decompose(theta, tribonacci_source().prefix(400), 2)
+    assert exc.value.payload == {"n": 2, "witness": "ac"} and built == [400]
