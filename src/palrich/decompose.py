@@ -78,20 +78,6 @@ class SimplePathCoding(Record):
         }
 
 
-def _smallest_period(sym: tuple) -> int:
-    # classic failure-function period of the whole word
-    n = len(sym)
-    fail = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and sym[i] != sym[k]:
-            k = fail[k]
-        if sym[i] == sym[k]:
-            k += 1
-        fail[i + 1] = k
-    return n - fail[n]
-
-
 def _recode(prefix: Word, segments, codes, overlap: int, letters: tuple,
             cut, kind: str) -> tuple[Morphism, Word]:
     # phi sends letter k to segment k less its overlap with the next one, v
@@ -107,9 +93,9 @@ def _recode(prefix: Word, segments, codes, overlap: int, letters: tuple,
     return phi, v
 
 
-def _periodic_coding(prefix: Word, n: int) -> SimplePathCoding:
+def _periodic_coding(prefix: Word, n: int, p: int) -> SimplePathCoding:
+    # the unary coding over the prefix's smallest period p
     sym = prefix.symbols
-    p = _smallest_period(sym)
     if p > len(sym) // 2:
         raise DecomposeError(
             "no special factors and no short period: prefix too short to decide",
@@ -123,16 +109,6 @@ def _periodic_coding(prefix: Word, n: int) -> SimplePathCoding:
         tail_length=len(sym) - cut[-1], flags={"periodic": True, "period_length": p})
 
 
-def _closed_at(theta: Antimorphism, text: str, n: int) -> bool:
-    """Is the factor set of ``text`` (an encoded word) closed under Theta up
-    to length n <= |text|?  A factor no longer than n with an absent image
-    lies in a length-n window, whose image is absent too: so the image of
-    each window, its slice of the mirror text, must be a window.  O(|w| n),
-    as theorem 1's cut, and no suffix automaton is built."""
-    windows = {text[i:i + n] for i in range(len(text) - n + 1)}
-    return all(f[::-1].translate(theta.pairing) in windows for f in windows)
-
-
 def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathCoding:
     """Recode the prefix over the alphabet of its n-simple paths.
 
@@ -144,18 +120,30 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
     the chosen length only.  The search need not stop at a length
     without special factors: a left (right) special factor has a left
     (right) special prefix (suffix) one letter shorter, so no greater
-    length has any either.  Requires the factor set to be closed under
-    Theta at the chosen length: ``_closed_at`` decides it, and only a failure
-    asks ``closed_under_theta`` for its leftmost shortest witness.
+    length has any either.
+
+    Everything else is read from the C(n) distinct windows of the chosen
+    length that the cut lists.  A factor no longer than n with an absent
+    Theta-image lies in a window, whose image is absent too: so the factor
+    set is closed under Theta up to n when the image of each window is a
+    window, and only a failure asks ``closed_under_theta`` for its leftmost
+    shortest witness.  The unary branch takes the smallest period p >= C(n)
+    (a period p <= |w| - n leaves at most p windows; C(n) <= |w| - n + 1).
+    With no special factor each window has one successor and one
+    predecessor, so the windows run one cycle: p = C(n) when one repeats, and
+    p > |w| - n, within n shifts of the text, when none does.
     """
     _check_same(theta, prefix)
     if not 1 <= n <= len(prefix) // 4:
         raise InputError(f"coding length {n} unreasonable for |prefix|={len(prefix)}")
 
     sym = prefix.symbols
-    specials, positions, (paths, v_sym) = simple_path_cut(sym, n)
+    windows, specials, positions, (paths, v_sym) = simple_path_cut(sym, n)
     if not specials:
-        return _periodic_coding(prefix, n)
+        text = prefix.encoded
+        return _periodic_coding(prefix, n, next(
+            p for p in range(len(windows), len(text) + 1)
+            if text[p:] == text[:len(text) - p]))
 
     flags: dict = {}
     chosen = n
@@ -169,9 +157,9 @@ def theorem1_decompose(theta: Antimorphism, prefix: Word, n: int) -> SimplePathC
             chosen = n
             flags["aligned_at_first_special"] = True
     if chosen != n:
-        specials, positions, (paths, v_sym) = simple_path_cut(sym, chosen)
+        windows, specials, positions, (paths, v_sym) = simple_path_cut(sym, chosen)
 
-    if not _closed_at(theta, prefix.encoded, chosen):
+    if not all(theta.image(f) in windows for f in windows):
         closed, witness = closed_under_theta(theta, prefix, chosen)
         if closed:
             raise InvariantError("closure at the coding length decided two ways")

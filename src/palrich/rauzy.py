@@ -8,6 +8,8 @@ and the graph becomes a tree once loops are removed.
 """
 from __future__ import annotations
 
+from collections.abc import KeysView
+
 from .core import (
     Alphabet,
     Antimorphism,
@@ -25,10 +27,11 @@ class SpecialFactors(Record):
     right_special: frozenset[Word]
 
 
-def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
-    """Left- and right-special length-n factors of ``sym`` (as tuples), each
-    mapped to its set of extension letters (at least two)."""
-    left: dict[tuple, set[int]] = {}
+def _extension_tables(sym: tuple, n: int) -> tuple[dict, dict]:
+    """Every length-n window of ``sym`` (as a tuple) mapped to the letters
+    before it, and every one but possibly the last to the letters after it:
+    the first table's keys are all the windows."""
+    left: dict[tuple, set[int]] = {sym[:n]: set()}
     right: dict[tuple, set[int]] = {}
     for i in range(len(sym) - n + 1):
         w = sym[i:i + n]
@@ -36,8 +39,14 @@ def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
             left.setdefault(w, set()).add(sym[i - 1])
         if i + n < len(sym):
             right.setdefault(w, set()).add(sym[i + n])
-    return ({w: ext for w, ext in left.items() if len(ext) >= 2},
-            {w: ext for w, ext in right.items() if len(ext) >= 2})
+    return left, right
+
+
+def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
+    """Left- and right-special length-n factors of ``sym`` (as tuples), each
+    mapped to its set of extension letters (at least two)."""
+    return tuple({w: ext for w, ext in table.items() if len(ext) >= 2}
+                 for table in _extension_tables(sym, n))
 
 
 def factor_extensions(sym: tuple, occ, m: int) -> tuple[set, set]:
@@ -59,18 +68,19 @@ def special_factors(prefix: Word, n: int) -> SpecialFactors:
                           right_special=frozenset(Word.unchecked(ab, w) for w in right))
 
 
-def simple_path_cut(sym: tuple, n: int
-                    ) -> tuple[set[tuple], list[int], tuple[list[tuple], list[int]]]:
-    """The LS-or-RS factors of length n (as tuples), their occurrences in
-    ``sym``, and ``segment_coding``'s cut there: the distinct n-simple paths
-    and the coding of ``sym`` over them.  n must be at least 1: at n = 0 a
-    path's end ``e[-n:]`` would be the whole path, not a vertex."""
+def simple_path_cut(sym: tuple, n: int) -> tuple[
+        KeysView[tuple], set[tuple], list[int], tuple[list[tuple], list[int]]]:
+    """The length-n windows of ``sym`` and the LS-or-RS ones among them (as
+    tuples), their occurrences, and ``segment_coding``'s cut there: the
+    distinct n-simple paths and the coding of ``sym`` over them.  n must be
+    at least 1: at n = 0 a path's end ``e[-n:]`` would be the whole path, not
+    a vertex."""
     if not 1 <= n <= len(sym):
         raise InputError(f"length {n} out of range")
-    left, right = special_extensions(sym, n)
-    specials = left.keys() | right.keys()
+    left, right = _extension_tables(sym, n)
+    specials = {w for table in (left, right) for w, ext in table.items() if len(ext) >= 2}
     positions = [i for i in range(len(sym) - n + 1) if sym[i:i + n] in specials]
-    return specials, positions, segment_coding(sym, positions, n)
+    return left.keys(), specials, positions, segment_coding(sym, positions, n)
 
 
 def _canon_pair(x: tuple, y: tuple) -> tuple[tuple, tuple]:
@@ -119,7 +129,7 @@ def build_graph(theta: Antimorphism, prefix: Word, n: int) -> SuperReducedRauzyG
     """
     _check_same(theta, prefix)
     timage = theta.image
-    specials, _, (paths, _) = simple_path_cut(prefix.symbols, n)
+    _, specials, _, (paths, _) = simple_path_cut(prefix.symbols, n)
     vertices = frozenset(_canon_pair(w, timage(w)) for w in specials)
     edges: list[GraphEdge] = []
     seen: set[tuple] = set()

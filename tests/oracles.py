@@ -9,13 +9,17 @@ complete-return scan in ``test_crw_lemma.py``) and replace only how p is
 chosen and coded.  The theorem 1 selection lists the special factors of
 every length it tries, and so does the Arnoux-Rauzy check; both test closure
 on the factor set of every length up to theirs, where the library reads the
-length-n windows (theorem 1) or one suffix automaton.  The condition
-(i) sweeps visit every window of every length, where the library cuts each
-distinct minimal segment once from a sorted suffix table; one tests each
-segment in a radius table, the other compares it with its Theta-image.  The
-sorted suffix table scan cuts the segments of every factor, where the library
-gives a factor y a that is no Theta-palindrome the segments of y when y has
-one right extension and Theta(y) one left extension in v.
+length-n windows (theorem 1) or one suffix automaton.  The theorem 1
+selection takes the unary branch's period from a failure function, and a
+second closure test puts the windows of the prefix's text in a set of
+their own, where the library reads both from the window table of its cut.
+The condition (i) sweeps visit every window of every length, where the
+library cuts each distinct minimal segment once from a sorted suffix table;
+one tests each segment in a radius table, the other compares it with its
+Theta-image.  The sorted suffix table scan cuts the segments of every factor,
+where the library gives a factor y a that is no Theta-palindrome the
+segments of y when y has one right extension and Theta(y) one left extension
+in v.
 Condition (ii) merges the occurrence lists of each letter and its image, or
 makes one pass over v, where the library searches one text of v's positions
 sorted by pair; equations (3) and (4) are checked on ``Word``s, where the
@@ -474,11 +478,36 @@ def _special_tuples(sym: tuple, n: int) -> set[tuple]:
     return left.keys() | right.keys()
 
 
+def kmp_smallest_period(sym: tuple) -> int:
+    # classic failure-function period of the whole word
+    n = len(sym)
+    fail = [0] * (n + 1)
+    k = 0
+    for i in range(1, n):
+        while k and sym[i] != sym[k]:
+            k = fail[k]
+        if sym[i] == sym[k]:
+            k += 1
+        fail[i + 1] = k
+    return n - fail[n]
+
+
+def text_window_closed_at(theta: Antimorphism, text: str, n: int) -> bool:
+    """Is the factor set of ``text`` (an encoded word) closed under Theta up
+    to length n <= |text|?  A factor no longer than n with an absent image
+    lies in a length-n window, whose image is absent too: so the image of
+    each window, its slice of the mirror text, must be a window.  O(|w| n),
+    as theorem 1's cut, and no suffix automaton is built."""
+    windows = {text[i:i + n] for i in range(len(text) - n + 1)}
+    return all(f[::-1].translate(theta.pairing) in windows for f in windows)
+
+
 def per_length_theorem1(theta: Antimorphism, prefix: Word,
                         n: int) -> SimplePathCoding:
     """``theorem1_decompose`` listing the special factors of each length from
     n on until the prefix of that length is one of them, stopping at a
-    length with none, and testing closure on each length's factor set."""
+    length with none, testing closure on each length's factor set, and
+    taking the unary branch's period from a failure function."""
     if theta.alphabet != prefix.alphabet:
         raise InputError("alphabet mismatch")
     if not 1 <= n <= len(prefix) // 4:
@@ -486,7 +515,7 @@ def per_length_theorem1(theta: Antimorphism, prefix: Word,
     sym = prefix.symbols
     specials = _special_tuples(sym, n)
     if not specials:
-        return _periodic_coding(prefix, n)
+        return _periodic_coding(prefix, n, kmp_smallest_period(sym))
     chosen: Optional[int] = None
     for cand in range(n, min(n + SEARCH_BUDGET, len(prefix) // 4) + 1):
         sp = specials if cand == n else _special_tuples(sym, cand)

@@ -8,7 +8,9 @@ length only.  The oracle lists them at every length it tries and
 stops at a length with none; the reports and the errors must agree.  The
 oracle tests closure on the factor set of every length up to the chosen one,
 where the library tests the images of the windows of the chosen length and
-builds a suffix automaton only for the witness of a failure.
+builds a suffix automaton only for the witness of a failure.  The oracle
+takes the unary branch's period from a failure function, where the library
+shifts the text from the number of windows on.
 """
 import itertools
 import random
@@ -20,10 +22,16 @@ import palrich.complexity
 import palrich.decompose
 import palrich.rauzy
 from palrich.core import Alphabet, Antimorphism, Word
-from palrich.decompose import DecomposeError, _closed_at, theorem1_decompose
+from palrich.decompose import DecomposeError, theorem1_decompose
 from palrich.generators import tribonacci_source
+from palrich.rauzy import simple_path_cut
 from conftest import corpus, every_involution, near_periodic, random_involution, random_word
-from oracles import factor_set_closed_under_theta, per_length_theorem1
+from oracles import (
+    factor_set_closed_under_theta,
+    kmp_smallest_period,
+    per_length_theorem1,
+    text_window_closed_at,
+)
 
 
 def outcome(select, theta, word, n):
@@ -89,25 +97,26 @@ def test_selection_matches_oracle_over_300_letters():
 
 
 def test_special_factors_listed_at_most_twice(monkeypatch):
-    real = palrich.rauzy.special_extensions
+    # one window table per coding length: at n, and again only at a length
+    # the alignment search moves to; closure and the period are read from it
+    assert not hasattr(palrich.decompose, "_closed_at")
+    assert not hasattr(palrich.decompose, "_smallest_period")
+    real = palrich.rauzy._extension_tables
     calls: list[int] = []
 
     def counted(sym, n):
         calls.append(n)
         return real(sym, n)
 
-    monkeypatch.setattr(palrich.rauzy, "special_extensions", counted)
+    monkeypatch.setattr(palrich.rauzy, "_extension_tables", counted)
     bumped = 0
     for theta, word in some_words(11, 100):
         for n in range(1, len(word) // 4 + 1):
             calls.clear()
             got = outcome(theorem1_decompose, theta, word, n)
-            assert len(calls) <= 2
-            if got[0] == "coding":
-                # at n, and again only at a bumped length
-                chosen = got[1]["n"]
-                assert calls == ([n] if chosen == n else [n, chosen])
-                bumped += chosen > n
+            chosen = got[1]["n"] if got[0] == "coding" else got[2].get("n", n)
+            assert calls == ([n] if chosen == n else [n, chosen])
+            bumped += chosen > n
     assert bumped > 0
 
 
@@ -134,6 +143,23 @@ def test_occurrences_searched_only_past_n(monkeypatch):
     assert at_n > 0
 
 
+NOT_CLOSED = "factor set is not closed under Theta at the coding length"
+
+
+def closure_read(theta, word, n):
+    """Theorem 1's verdict on closure under Theta and the coding length it
+    was read at, or None where the unary branch reads no closure.  Every
+    error but the unary branch's and the closure's own comes after the
+    read, so the factor set was closed there."""
+    try:
+        coding = theorem1_decompose(theta, word, n)
+    except DecomposeError as exc:
+        if "smallest_period" in exc.payload:
+            return None
+        return str(exc) != NOT_CLOSED, exc.payload["n"]
+    return None if coding.flags.get("periodic") else (True, coding.n)
+
+
 def test_closed_at_matches_factor_sets_on_short_words():
     outcomes = set()
     for k, top in ((1, 12), (2, 12), (3, 8)):
@@ -142,8 +168,14 @@ def test_closed_at_matches_factor_sets_on_short_words():
                 for sym in itertools.product(range(k), repeat=length):
                     word = Word(theta.alphabet, sym)
                     for n in range(1, length // 4 + 1):
-                        closed = factor_set_closed_under_theta(theta, word, n)[0]
-                        assert _closed_at(theta, word.encoded, n) is closed, (word, n)
+                        read = closure_read(theta, word, n)
+                        if read is None:
+                            continue
+                        closed, m = read
+                        assert factor_set_closed_under_theta(
+                            theta, word, m)[0] is closed, (word, n)
+                        assert text_window_closed_at(
+                            theta, word.encoded, m) is closed, (word, n)
                         outcomes.add(closed)
     assert outcomes == {True, False}
 
@@ -156,12 +188,58 @@ def test_closed_at_matches_factor_sets_on_random_words(data):
     make = random_word if data.draw(st.booleans()) else near_periodic
     word = make(rng, theta, data.draw(st.integers(4, 300)))
     # factor_set_closed_under_theta tests the lengths in order and stops at
-    # the first failing one, so at n it is closed exactly when that length,
-    # found once up to |w| / 4, is past n
+    # the first failing one, so at m it is closed exactly when that length,
+    # found once up to |w| / 4, is past m
     _, witness = factor_set_closed_under_theta(theta, word, len(word) // 4)
     for n in range(1, len(word) // 4 + 1):
-        closed = witness is None or len(witness) > n
-        assert _closed_at(theta, word.encoded, n) is closed, (word, n)
+        read = closure_read(theta, word, n)
+        if read is not None:
+            closed, m = read
+            assert (witness is None or len(witness) > m) is closed, (word, n)
+
+
+def period_read(word, n) -> int:
+    # theorem 1's smallest period, from its unary coding or its error
+    theta = Antimorphism.reversal(word.alphabet)
+    try:
+        return theorem1_decompose(theta, word, n).flags["period_length"]
+    except DecomposeError as exc:
+        return exc.payload["smallest_period"]
+
+
+def test_period_matches_failure_function_on_short_words():
+    # every word where the cut finds no special factor; with 3 letters and
+    # n = 2 there are words of 10 letters whose 9 windows all differ, so
+    # the period is longer than |w| - n
+    repeated = distinct = 0
+    for k, top in ((1, 12), (2, 12), (3, 10)):
+        ab = Alphabet(tuple("abc"[:k]))
+        for length in range(4, top + 1):
+            for sym in itertools.product(range(k), repeat=length):
+                for n in range(1, length // 4 + 1):
+                    windows, specials = simple_path_cut(sym, n)[:2]
+                    if specials:
+                        continue
+                    p = kmp_smallest_period(sym)
+                    assert period_read(Word(ab, sym), n) == p, (sym, n)
+                    if len(windows) < length - n + 1:
+                        repeated += 1
+                    else:
+                        distinct += 1
+                        assert p > length - n
+    assert repeated > 0 and distinct > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_period_matches_failure_function_on_periodic_words(k, data):
+    period = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
+    length = data.draw(st.integers(4, 300))
+    sym = tuple(period[i % len(period)] for i in range(length))
+    word = Word(Alphabet(tuple("abc"[:k])), sym)
+    for n in range(1, length // 4 + 1):
+        if not simple_path_cut(sym, n)[1]:
+            assert period_read(word, n) == kmp_smallest_period(sym), (sym, n)
 
 
 def _count_automata(monkeypatch) -> list[int]:
