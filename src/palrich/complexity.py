@@ -9,7 +9,7 @@ statements concern infinite languages.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import accumulate
 
@@ -21,9 +21,25 @@ from .core import (
     Word,
     _check_same,
 )
-from .palindromes import pal_index
+from .palindromes import FLAT_EDGE_LETTERS, _Edges, pal_index
 
 DEFAULT_SAFE_DIVISOR = 64
+
+
+class _Rows(_Edges):
+    """The edges of a large alphabet keyed ``state * k + letter``, with each
+    state's edge letters listed in ``letters``, so a clone can copy its
+    original's row in time proportional to its edges."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+        self.letters: defaultdict[int, list[int]] = defaultdict(list)
+
+    def __setitem__(self, key: int, target: int) -> None:
+        if key not in self:
+            self.letters[key // self.k].append(key % self.k)
+        super().__setitem__(key, target)
 
 
 class _SuffixAutomaton:
@@ -31,39 +47,54 @@ class _SuffixAutomaton:
 
     State v stands for the factors of lengths ``length[link[v]] + 1`` to
     ``length[v]`` that share one set of end positions; state 0 is the empty
-    word.
+    word.  The edge from state v by letter a is ``next[v * k + a]``, k the
+    largest letter plus one, and 0 means no edge, since no edge enters state
+    0: up to ``FLAT_EDGE_LETTERS`` letters ``next`` is a list of one k-entry
+    row per state, above that a dict holding only the edges, as in
+    ``PalIndex``.  A clone copies its original's row: a slice of the list,
+    or in the dict the edges that ``_Rows`` lists for it.  By
+    tracemalloc the automaton holds 94, 102 and 139 B per letter on
+    fibonacci, tribonacci and thue_morse at 65536 letters.
     """
 
-    __slots__ = ("length", "link", "next")
+    __slots__ = ("k", "length", "link", "next")
 
     def __init__(self, symbols: tuple):
-        length = [0]
-        link = [-1]
-        nxt: list[dict[int, int]] = [{}]
+        k = max(symbols, default=-1) + 1
+        flat = k <= FLAT_EDGE_LETTERS
+        length, link = [0], [-1]
+        zeros = [0] * k
+        nxt = list(zeros) if flat else _Rows(k)
         last = 0
         for a in symbols:
             cur = len(length)
             length.append(length[last] + 1)
             link.append(0)
-            nxt.append({})
+            if flat:
+                nxt += zeros
             p = last
-            while p != -1 and a not in nxt[p]:
-                nxt[p][a] = cur
+            while p != -1 and not nxt[p * k + a]:
+                nxt[p * k + a] = cur
                 p = link[p]
             if p != -1:
-                q = nxt[p][a]
+                q = nxt[p * k + a]
                 if length[q] == length[p] + 1:
                     link[cur] = q
                 else:
                     clone = len(length)
                     length.append(length[p] + 1)
                     link.append(link[q])
-                    nxt.append(dict(nxt[q]))
-                    while p != -1 and nxt[p].get(a) == q:
-                        nxt[p][a] = clone
+                    if flat:
+                        nxt += nxt[q * k:q * k + k]
+                    else:
+                        for b in nxt.letters[q]:
+                            nxt[clone * k + b] = nxt[q * k + b]
+                    while p != -1 and nxt[p * k + a] == q:
+                        nxt[p * k + a] = clone
                         p = link[p]
                     link[q] = link[cur] = clone
             last = cur
+        self.k = k
         self.length = length
         self.link = link
         self.next = nxt
@@ -84,16 +115,22 @@ class _SuffixAutomaton:
         state's longest always has the same letter on its left; the longest,
         w, has a left extension a per state linked to it, whose shortest
         factor is aw.  Right special factors number at most C(max_len + 1)."""
-        length, link, nxt = self.length, self.link, self.next
+        length, link, nxt, k = self.length, self.link, self.next, self.k
         children = Counter(link[1:])
+        if isinstance(nxt, list):
+            # the out-degree of each k-entry row: its nonzero entries,
+            # summed k at a time
+            degree = list(map(sum, zip(*[map(bool, nxt)] * k)))
+        else:
+            degree = Counter(key // k for key in nxt)
         left = [Counter() for _ in range(max_len + 1)]
         right = [Counter() for _ in range(max_len + 1)]
         for v in range(1, len(length)):
             if children[v] >= 2 and length[v] <= max_len:
                 left[length[v]][children[v]] += 1
-            if len(nxt[v]) >= 2:
+            if degree[v] >= 2:
                 for n in range(length[link[v]] + 1, min(length[v], max_len) + 1):
-                    right[n][len(nxt[v])] += 1
+                    right[n][degree[v]] += 1
         return left, right
 
     def shortest_absent(self, symbols) -> tuple[int | None, int]:
@@ -105,15 +142,18 @@ class _SuffixAutomaton:
         suffix read so far that is a factor; the suffix one letter longer is
         absent, and every shortest absent factor is one of those.
         """
-        length, link, nxt = self.length, self.link, self.next
+        length, link, nxt, k = self.length, self.link, self.next, self.k
         best, at = None, 0
         v = matched = 0
         for read, a in enumerate(symbols, start=1):
-            while v and a not in nxt[v]:
+            # no state has an edge by a letter past the word's largest, and
+            # v * k + a would read the next row
+            while v and (a >= k or not nxt[v * k + a]):
                 v = link[v]
                 matched = length[v]
-            if a in nxt[v]:
-                v = nxt[v][a]
+            target = nxt[v * k + a] if a < k else 0
+            if target:
+                v = target
                 matched += 1
             else:
                 matched = 0
@@ -133,8 +173,9 @@ def _factor_counts(theta: Antimorphism, symbols: tuple) -> _FactorCounts:
     """C(n) and closure of one word, read off its suffix automaton.
 
     Shared by every analysis of the word, as ``pal_index`` is.  Only the
-    counts are kept: the automaton (about 0.5 kB per letter) would stay
-    alive through the rest of the analysis and raise its peak memory.
+    counts are kept: the automaton (94 to 139 B per letter on the corpus)
+    would stay alive through the rest of the analysis and raise its peak
+    memory.
     """
     sam = _SuffixAutomaton(symbols)
     # Theta(w)[r - m:r] is Theta(w[|w| - r:|w| - r + m]), so it is absent from

@@ -8,6 +8,7 @@ and the graph becomes a tree once loops are removed.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import KeysView
 
 from .core import (
@@ -30,16 +31,18 @@ class SpecialFactors(Record):
 def _extension_tables(sym: tuple, n: int) -> tuple[dict, dict]:
     """Every length-n window of ``sym`` (as a tuple) mapped to the letters
     before it, and every one but possibly the last to the letters after it:
-    the first table's keys are all the windows."""
-    left: dict[tuple, set[int]] = {sym[:n]: set()}
-    right: dict[tuple, set[int]] = {}
-    for i in range(len(sym) - n + 1):
+    the first table's keys are all the windows, in order of first
+    occurrence.  A set is made only for a window not seen before."""
+    left = defaultdict(set, {sym[:n]: set()})
+    right = defaultdict(set)
+    last = len(sym) - n
+    for i in range(last + 1):
         w = sym[i:i + n]
-        if i > 0:
-            left.setdefault(w, set()).add(sym[i - 1])
-        if i + n < len(sym):
-            right.setdefault(w, set()).add(sym[i + n])
-    return left, right
+        if i:
+            left[w].add(sym[i - 1])
+        if i < last:
+            right[w].add(sym[i + n])
+    return dict(left), dict(right)
 
 
 def special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:

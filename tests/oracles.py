@@ -37,6 +37,11 @@ suffix table scan searches fixed-width big-endian bytes, hitting only
 offsets at a multiple of the width, and finds the common prefix of two
 neighbours in its table letter by letter, where the library bisects over
 slice equality.
+The suffix automaton keeps one dict of edges per state, where the library
+keeps one flat edge table, and the Rauzy extension tables add each window
+with ``setdefault``, making a set at every step, where the library makes one
+only for a window not seen before; the special factors the oracles list come
+from these tables.
 A Theta-palindrome is tested letter by letter against the mirrored letter,
 where the library compares a word with its Theta-image, and the tree test of
 Proposition 1 builds an adjacency list and walks it depth first, where the
@@ -47,7 +52,9 @@ doubles a block of bytes by its complement.
 import sys
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from palrich.core import (
@@ -77,7 +84,6 @@ from palrich.rauzy import (
     Proposition1Result,
     SpecialFactors,
     SuperReducedRauzyGraph,
-    special_extensions,
 )
 from palrich.returns import CrwReport, mirror_bounded_palindromicity
 from conftest import factor_tuples
@@ -461,7 +467,7 @@ def special_extensions_theorem3_coding(theta: Antimorphism, u: Word
     target, lengths = _candidate_prefix_lengths(theta, u)
     sym = u.symbols
     for length in lengths:
-        left, right = special_extensions(sym, length)
+        left, right = setdefault_special_extensions(sym, length)
         if sym[:length] in left and sym[:length] in right:
             coding, info = letter_check_return_coding(theta, u, u.factor(0, length))
             if coding is None:
@@ -473,8 +479,111 @@ def special_extensions_theorem3_coding(theta: Antimorphism, u: Word
         {"empirical_threshold": target, "scale": len(u)})
 
 
+def setdefault_extension_tables(sym: tuple, n: int) -> tuple[dict, dict]:
+    """``rauzy._extension_tables`` making a set for every window with
+    ``setdefault``."""
+    left: dict[tuple, set[int]] = {sym[:n]: set()}
+    right: dict[tuple, set[int]] = {}
+    for i in range(len(sym) - n + 1):
+        w = sym[i:i + n]
+        if i > 0:
+            left.setdefault(w, set()).add(sym[i - 1])
+        if i + n < len(sym):
+            right.setdefault(w, set()).add(sym[i + n])
+    return left, right
+
+
+def setdefault_special_extensions(sym: tuple, n: int) -> tuple[dict, dict]:
+    """``rauzy.special_extensions`` filtering the ``setdefault`` tables."""
+    return tuple({w: ext for w, ext in table.items() if len(ext) >= 2}
+                 for table in setdefault_extension_tables(sym, n))
+
+
+def setdefault_simple_path_cut(sym: tuple, n: int):
+    """``rauzy.simple_path_cut`` read from the ``setdefault`` tables."""
+    left, right = setdefault_extension_tables(sym, n)
+    specials = {w for table in (left, right) for w, ext in table.items()
+                if len(ext) >= 2}
+    positions = [i for i in range(len(sym) - n + 1) if sym[i:i + n] in specials]
+    return left.keys(), specials, positions, segment_coding(sym, positions, n)
+
+
+class DictSuffixAutomaton:
+    """``complexity._SuffixAutomaton`` keeping one dict of edges per state."""
+
+    def __init__(self, symbols: tuple):
+        length = [0]
+        link = [-1]
+        nxt: list[dict[int, int]] = [{}]
+        last = 0
+        for a in symbols:
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            nxt.append({})
+            p = last
+            while p != -1 and a not in nxt[p]:
+                nxt[p][a] = cur
+                p = link[p]
+            if p != -1:
+                q = nxt[p][a]
+                if length[q] == length[p] + 1:
+                    link[cur] = q
+                else:
+                    clone = len(length)
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    nxt.append(dict(nxt[q]))
+                    while p != -1 and nxt[p].get(a) == q:
+                        nxt[p][a] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+        self.length = length
+        self.link = link
+        self.next = nxt
+
+    def complexity(self) -> list[int]:
+        length, link = self.length, self.link
+        diff = [0] * (max(length) + 2)
+        for v in range(1, len(length)):
+            diff[length[link[v]] + 1] += 1
+            diff[length[v] + 1] -= 1
+        return [1, *accumulate(diff[1:-1])]
+
+    def special_valences(self, max_len: int) -> tuple[list[Counter], list[Counter]]:
+        length, link, nxt = self.length, self.link, self.next
+        children = Counter(link[1:])
+        left = [Counter() for _ in range(max_len + 1)]
+        right = [Counter() for _ in range(max_len + 1)]
+        for v in range(1, len(length)):
+            if children[v] >= 2 and length[v] <= max_len:
+                left[length[v]][children[v]] += 1
+            if len(nxt[v]) >= 2:
+                for n in range(length[link[v]] + 1, min(length[v], max_len) + 1):
+                    right[n][len(nxt[v])] += 1
+        return left, right
+
+    def shortest_absent(self, symbols) -> tuple[Optional[int], int]:
+        length, link, nxt = self.length, self.link, self.next
+        best, at = None, 0
+        v = matched = 0
+        for read, a in enumerate(symbols, start=1):
+            while v and a not in nxt[v]:
+                v = link[v]
+                matched = length[v]
+            if a in nxt[v]:
+                v = nxt[v][a]
+                matched += 1
+            else:
+                matched = 0
+            if matched < read and (best is None or matched + 1 <= best):
+                best, at = matched + 1, read
+        return best, at
+
+
 def _special_tuples(sym: tuple, n: int) -> set[tuple]:
-    left, right = special_extensions(sym, n)
+    left, right = setdefault_special_extensions(sym, n)
     return left.keys() | right.keys()
 
 
@@ -838,7 +947,7 @@ def special_extensions_arnoux_rauzy_check(prefix: Word, max_len: int,
         if not closed and n == len(witness):
             return ArnouxRauzyReport(False, valence, max_len, n,
                                      "factor set not closed under reversal")
-        left, right = special_extensions(prefix.symbols, n)
+        left, right = setdefault_special_extensions(prefix.symbols, n)
         if len(left) != 1 or len(right) != 1:
             return ArnouxRauzyReport(
                 False, valence, max_len, n,

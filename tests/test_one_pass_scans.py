@@ -35,6 +35,7 @@ from conftest import (
     w,
 )
 from oracles import (
+    DictSuffixAutomaton,
     every_letter_condition_ii,
     radius_table_condition_i,
     special_extensions_arnoux_rauzy_check,
@@ -45,6 +46,7 @@ from oracles import (
 
 def assert_valences_match(sym: tuple, top: int) -> None:
     left, right = _SuffixAutomaton(sym).special_valences(top)
+    assert (left, right) == DictSuffixAutomaton(sym).special_valences(top)
     assert len(left) == len(right) == top + 1
     for n in range(1, top + 1):
         ls, rs = special_extensions(sym, n)

@@ -17,6 +17,7 @@ from palrich.palindromes import PalIndex, defect_profile, pal_index, \
 from palrich.returns import crw_palindromicity_scan
 from conftest import every_involution, random_involution, random_word
 from oracles import (
+    DictSuffixAutomaton,
     append_loop_defect_profile,
     append_loop_pal_prefix_lengths,
     crw_outcome,
@@ -90,7 +91,9 @@ def test_closure_witness_is_leftmost_on_every_short_word():
                         assert closed_under_theta(theta, word, n) == \
                             factor_set_closed_under_theta(theta, word, n)
                 closed, witness = factor_set_closed_under_theta(reversal, word, m)
-                unclosed, _ = _SuffixAutomaton(symbols).shortest_absent(symbols[::-1])
+                unclosed, at = _SuffixAutomaton(symbols).shortest_absent(symbols[::-1])
+                assert (unclosed, at) == \
+                    DictSuffixAutomaton(symbols).shortest_absent(symbols[::-1])
                 assert unclosed == (None if closed else len(witness))
                 assert arnoux_rauzy_check(word, m, k) == \
                     special_extensions_arnoux_rauzy_check(word, m, k)
